@@ -9,17 +9,27 @@
  * nextBatch() path the simulator uses, and resets mid-stream the way
  * shard warm-up does.  ErrorPolicy::Throw turns every malformation
  * into std::invalid_argument; a crash or unbounded loop is a bug.
+ *
+ * The drain is differential: the naive decoder of
+ * tests/trace_oracle.hh decodes the same bytes, and the reader must
+ * return the same records, reject exactly the inputs it rejects, and
+ * with the same message.  The batch size (1 to 4336) comes from the
+ * input's last byte, so mutation moves batch ends across records,
+ * buffer refills and the end of the file.
  */
 
 #include "harness.hh"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <unistd.h>
+#include <vector>
 
 #include "trace/trace_file.hh"
+#include "trace_oracle.hh"
 
 namespace
 {
@@ -52,9 +62,15 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     }
     std::fclose(file);
 
+    tlbpf::OracleDecode want = tlbpf::oracleDecode(
+        std::vector<std::uint8_t>(data, data + size), path);
+    std::size_t batch = 1 + (size > 0 ? data[size - 1] * 17u : 0u);
+
     // The cheap validity probe must agree with the reader: a file the
     // probe passes must construct, and one it rejects must throw.
     std::string probe = tlbpf::probeTraceFile(path);
+    std::vector<tlbpf::MemRef> got;
+    std::string error;
     try {
         tlbpf::TraceReader reader(
             path, tlbpf::TraceReader::ErrorPolicy::Throw);
@@ -65,19 +81,32 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
                          probe.c_str());
             std::abort();
         }
-        tlbpf::MemRef block[64];
-        std::size_t drained = 0;
-        while (std::size_t got = reader.nextBatch(block, 64)) {
-            drained += got;
-            if (drained > (1u << 22))
-                break; // plenty; keep the per-input budget bounded
-        }
+        std::vector<tlbpf::MemRef> block(batch);
+        while (std::size_t n = reader.nextBatch(block.data(), batch))
+            got.insert(got.end(), block.begin(),
+                       block.begin() + static_cast<std::ptrdiff_t>(n));
         // Shard warm-up resets positioned streams; decode again after
         // a reset to cover the buffered-reader rewind path.
         reader.reset();
-        (void)reader.nextBatch(block, 64);
-    } catch (const std::invalid_argument &) {
+        (void)reader.nextBatch(block.data(), batch);
+    } catch (const std::invalid_argument &e) {
         // Malformed traces are the expected rejection.
+        error = e.what();
+    }
+
+    // A batch that meets an error throws, so only the whole batches
+    // before the bad record come back.
+    std::size_t expected = want.error.empty()
+                               ? want.refs.size()
+                               : want.refs.size() / batch * batch;
+    if (error != want.error || got.size() != expected ||
+        !std::equal(got.begin(), got.end(), want.refs.begin())) {
+        std::fprintf(stderr,
+                     "TraceReader (batch %zu) returned %zu records and "
+                     "error '%s'; the oracle %zu records and error '%s'\n",
+                     batch, got.size(), error.c_str(), want.refs.size(),
+                     want.error.c_str());
+        std::abort();
     }
     return 0;
 }

@@ -61,6 +61,36 @@ SPEC_SEEDS = {
 }
 
 
+def varint(v):
+    out = b""
+    while v >= 0x80:
+        out += bytes([(v & 0x7f) | 0x80])
+        v >>= 7
+    return out + bytes([v])
+
+
+def zigzag(v):
+    return (v << 1) ^ (v >> 63)
+
+
+def trace(records):
+    """A .tpf image: a header counting the records, then their bytes."""
+    return b"TPFT" + struct.pack("<IQ", 1, len(records)) + b"".join(records)
+
+
+def record(vaddr_delta, pc_delta=0, icount_delta=1, write=False):
+    return (bytes([int(write)]) + varint(zigzag(vaddr_delta)) +
+            varint(zigzag(pc_delta)) + varint(icount_delta))
+
+
+# A varint that never ends (a flag byte, then ten continuation bytes)
+# followed by twelve five-byte records: TraceReader meets it in its
+# unchecked fast path, not in a file's last 31 bytes.
+MALFORMED_MID = trace([record(4096 * i) for i in range(1, 4)] +
+                      [b"\x00" + b"\xff" * 10] +
+                      [record(64, i % 2, 2, i % 3 == 0) for i in range(12)])
+
+
 def frame(*docs):
     out = b""
     for doc in docs:
@@ -128,6 +158,8 @@ def main():
         f.write(b"TPFT")
     with open(f"{BASE}/trace/empty.tpf", "wb") as f:
         f.write(b"")
+    with open(f"{BASE}/trace/malformed_mid.tpf", "wb") as f:
+        f.write(MALFORMED_MID)
 
     for name, blob in FRAME_SEEDS.items():
         with open(f"{BASE}/frame/{name}.bin", "wb") as f:

@@ -1,5 +1,6 @@
 #include "trace/trace_file.hh"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -95,10 +96,86 @@ checkHeader(const std::string &path, const Header &hdr, bool read_ok)
     return "";
 }
 
+/** Why a record failed to decode. */
+enum class Decode
+{
+    Ok,
+    Truncated, ///< the file ended inside the record
+    Malformed  ///< a varint ran past ten bytes
+};
+
+/**
+ * Decode one LEB128 varint at @p p into @p v.  A Checked decode
+ * returns Truncated at @p end instead of reading it; an unchecked one
+ * relies on the caller having kTraceMaxRecordBytes readable from the
+ * record's start.
+ */
+template <bool Checked>
+Decode
+decodeVarint(const std::uint8_t *&p, const std::uint8_t *end,
+             std::uint64_t &v)
+{
+    v = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        if (Checked && p == end)
+            return Decode::Truncated;
+        std::uint64_t byte = *p++;
+        v |= (byte & 0x7f) << shift;
+        if (byte < 0x80)
+            return Decode::Ok;
+        if (shift == 63)
+            return Decode::Malformed;
+    }
+}
+
+/**
+ * Decode the record at @p p, applying its deltas to @p ref (the
+ * previous record on entry).  @p ref is garbage unless Ok.
+ */
+template <bool Checked>
+Decode
+decodeRecord(const std::uint8_t *&p, const std::uint8_t *end, MemRef &ref)
+{
+    if (Checked && p == end)
+        return Decode::Truncated;
+    std::uint8_t flags = *p++;
+    std::uint64_t dv = 0;
+    std::uint64_t dp = 0;
+    std::uint64_t di = 0;
+    Decode status = decodeVarint<Checked>(p, end, dv);
+    if (status == Decode::Ok)
+        status = decodeVarint<Checked>(p, end, dp);
+    if (status == Decode::Ok)
+        status = decodeVarint<Checked>(p, end, di);
+    // Unsigned adds wrap exactly like the writer's unsigned deltas.
+    ref.isWrite = (flags & 1) != 0;
+    ref.vaddr += static_cast<Addr>(zigZagDecode(dv));
+    ref.pc += static_cast<Addr>(zigZagDecode(dp));
+    ref.icount += di;
+    return status;
+}
+
+std::uint8_t *
+encodeVarint(std::uint8_t *p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v | 0x80);
+        v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
+/** Read/encode buffer size of TraceReader and TraceWriter. */
+constexpr std::size_t kBufferBytes = std::size_t{1} << 16;
+
+/** References dumpTrace() pulls from its stream per nextBatch(). */
+constexpr std::size_t kDumpBatchRefs = 4096;
+
 } // namespace
 
 TraceWriter::TraceWriter(const std::string &path)
-    : _path(path)
+    : _path(path), _buf(kBufferBytes)
 {
     _file = std::fopen(path.c_str(), "wb");
     if (!_file)
@@ -122,35 +199,30 @@ TraceWriter::writeHeader()
 }
 
 void
-TraceWriter::putByte(int byte)
+TraceWriter::flushBuffer()
 {
-    if (std::fputc(byte, _file) == EOF)
+    if (std::fwrite(_buf.data(), 1, _bufLen, _file) != _bufLen)
         tlbpf_fatal("write error on trace file '", _path, "'");
-}
-
-void
-TraceWriter::putVarint(std::uint64_t v)
-{
-    while (v >= 0x80) {
-        putByte(static_cast<int>(v & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    putByte(static_cast<int>(v));
+    _bufLen = 0;
 }
 
 void
 TraceWriter::write(const MemRef &ref)
 {
     tlbpf_assert(_open, "write to closed TraceWriter");
+    if (_buf.size() - _bufLen < kTraceMaxRecordBytes)
+        flushBuffer();
     // Record: flags byte, then zigzag deltas of vaddr/pc and icount
-    // delta.  Flag bit 0 = write access.
-    std::uint8_t flags = ref.isWrite ? 1 : 0;
-    putByte(flags);
-    putVarint(zigZagEncode(static_cast<std::int64_t>(ref.vaddr) -
-                           static_cast<std::int64_t>(_prev.vaddr)));
-    putVarint(zigZagEncode(static_cast<std::int64_t>(ref.pc) -
-                           static_cast<std::int64_t>(_prev.pc)));
-    putVarint(ref.icount - _prev.icount);
+    // delta.  Flag bit 0 = write access.  The deltas are taken
+    // unsigned (wrapping) so no address pair overflows.
+    std::uint8_t *p = _buf.data() + _bufLen;
+    *p++ = ref.isWrite ? 1 : 0;
+    p = encodeVarint(
+        p, zigZagEncode(static_cast<std::int64_t>(ref.vaddr - _prev.vaddr)));
+    p = encodeVarint(
+        p, zigZagEncode(static_cast<std::int64_t>(ref.pc - _prev.pc)));
+    p = encodeVarint(p, ref.icount - _prev.icount);
+    _bufLen = static_cast<std::size_t>(p - _buf.data());
     _prev = ref;
     ++_count;
 }
@@ -160,9 +232,10 @@ TraceWriter::close()
 {
     if (!_open)
         return;
-    // stdio buffers writes, so a disk-full condition may only surface
-    // at flush time — flush explicitly before patching the header so
-    // a truncated body cannot end up behind a valid record count.
+    // stdio buffers writes too, so a disk-full condition may only
+    // surface at flush time — flush both buffers before patching the
+    // header so a truncated body cannot end up behind a valid count.
+    flushBuffer();
     if (std::fflush(_file) != 0)
         tlbpf_fatal("write error on trace file '", _path, "'");
     if (std::fseek(_file, 0, SEEK_SET) != 0)
@@ -176,7 +249,7 @@ TraceWriter::close()
 }
 
 TraceReader::TraceReader(const std::string &path, ErrorPolicy policy)
-    : _path(path), _policy(policy), _buf(1 << 16)
+    : _path(path), _policy(policy), _buf(kBufferBytes)
 {
     _file = std::fopen(path.c_str(), "rb");
     if (!_file)
@@ -190,12 +263,15 @@ TraceReader::fail(const std::string &why)
     if (_policy == ErrorPolicy::Throw) {
         // The constructor may throw before the destructor can ever
         // run; release the handle here so a rejected trace does not
-        // leak one fd per attempted cell.
+        // leak one fd per attempted cell.  Every later call rethrows
+        // the first error before touching the released handle.
+        if (_error.empty())
+            _error = why;
         if (_file) {
             std::fclose(_file);
             _file = nullptr;
         }
-        throw std::invalid_argument(why);
+        throw std::invalid_argument(_error);
     }
     tlbpf_fatal(why);
 }
@@ -220,79 +296,81 @@ TraceReader::readHeader()
     _count = hdr.count;
 }
 
-int
-TraceReader::getByte()
+void
+TraceReader::refill()
 {
-    if (_bufPos == _bufLen) {
-        _bufLen = std::fread(_buf.data(), 1, _buf.size(), _file);
-        _bufPos = 0;
-        if (_bufLen == 0)
-            return EOF;
-    }
-    return _buf[_bufPos++];
-}
-
-bool
-TraceReader::getVarint(std::uint64_t &v)
-{
-    v = 0;
-    int shift = 0;
-    while (true) {
-        int byte = getByte();
-        if (byte == EOF)
-            return false;
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80))
-            return true;
-        shift += 7;
-        if (shift > 63)
-            fail("trace file '" + _path + "' has malformed varint");
-    }
+    // Carry the unread tail forward so the record it starts sits whole
+    // in the buffer after the read.
+    std::size_t tail = _bufLen - _bufPos;
+    std::memmove(_buf.data(), _buf.data() + _bufPos, tail);
+    std::size_t want = _buf.size() - tail;
+    std::size_t got = std::fread(_buf.data() + tail, 1, want, _file);
+    _bufPos = 0;
+    _bufLen = tail + got;
+    _eof = got < want;
 }
 
 bool
 TraceReader::next(MemRef &ref)
 {
-    if (_readSoFar >= _count)
-        return false;
-    int flags = getByte();
-    if (flags == EOF)
-        fail("trace file '" + _path + "' truncated at record " +
-             std::to_string(_readSoFar));
-    std::uint64_t dv = 0;
-    std::uint64_t dp = 0;
-    std::uint64_t di = 0;
-    if (!getVarint(dv) || !getVarint(dp) || !getVarint(di))
-        fail("trace file '" + _path + "' truncated at record " +
-             std::to_string(_readSoFar));
-    ref.isWrite = (flags & 1) != 0;
-    ref.vaddr = static_cast<Addr>(static_cast<std::int64_t>(_prev.vaddr) +
-                                  zigZagDecode(dv));
-    ref.pc = static_cast<Addr>(static_cast<std::int64_t>(_prev.pc) +
-                               zigZagDecode(dp));
-    ref.icount = _prev.icount + di;
-    _prev = ref;
-    ++_readSoFar;
-    return true;
+    return TraceReader::nextBatch(&ref, 1) == 1;
 }
 
 std::size_t
 TraceReader::nextBatch(MemRef *buf, std::size_t n)
 {
-    // Qualified call so the decode loop inlines instead of dispatching
-    // through the vtable once per record.
+    if (!_error.empty())
+        fail(_error);
+    n = static_cast<std::size_t>(
+        std::min<std::uint64_t>(n, _count - _readSoFar));
+    MemRef prev = _prev;
     std::size_t filled = 0;
-    while (filled < n && TraceReader::next(buf[filled]))
-        ++filled;
+    Decode status = Decode::Ok;
+    while (filled < n && status == Decode::Ok) {
+        std::size_t avail = _bufLen - _bufPos;
+        if (avail < kTraceMaxRecordBytes && !_eof) {
+            refill();
+            continue;
+        }
+        const std::uint8_t *p = _buf.data() + _bufPos;
+        const std::uint8_t *end = p + avail;
+        if (avail >= kTraceMaxRecordBytes) {
+            // A record starting at or before `last` ends inside the
+            // buffered bytes, so it decodes without bounds checks.
+            const std::uint8_t *last = end - kTraceMaxRecordBytes;
+            while (filled < n && p <= last) {
+                status = decodeRecord<false>(p, end, prev);
+                if (status != Decode::Ok)
+                    break;
+                buf[filled++] = prev;
+            }
+        } else {
+            // The file's last few bytes.
+            status = decodeRecord<true>(p, end, prev);
+            if (status == Decode::Ok)
+                buf[filled++] = prev;
+        }
+        _bufPos = static_cast<std::size_t>(p - _buf.data());
+    }
+    _prev = prev;
+    _readSoFar += filled;
+    if (status == Decode::Malformed)
+        fail("trace file '" + _path + "' has malformed varint");
+    if (status == Decode::Truncated)
+        fail("trace file '" + _path + "' truncated at record " +
+             std::to_string(_readSoFar));
     return filled;
 }
 
 void
 TraceReader::reset()
 {
+    if (!_error.empty())
+        fail(_error);
     std::fseek(_file, 0, SEEK_SET);
     _bufPos = 0;
     _bufLen = 0;
+    _eof = false;
     readHeader();
     _readSoFar = 0;
     _prev = MemRef{};
@@ -321,9 +399,10 @@ std::uint64_t
 dumpTrace(RefStream &stream, const std::string &path)
 {
     TraceWriter writer(path);
-    MemRef ref;
-    while (stream.next(ref))
-        writer.write(ref);
+    std::vector<MemRef> block(kDumpBatchRefs);
+    while (std::size_t got = stream.nextBatch(block.data(), block.size()))
+        for (std::size_t i = 0; i < got; ++i)
+            writer.write(block[i]);
     writer.close();
     return writer.written();
 }

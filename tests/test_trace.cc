@@ -12,6 +12,8 @@
 #include "trace/adaptors.hh"
 #include "trace/ref_stream.hh"
 #include "trace/trace_file.hh"
+#include "trace_oracle.hh"
+#include "workload/app_registry.hh"
 
 namespace tlbpf
 {
@@ -420,6 +422,318 @@ TEST_F(TraceFileTest, TruncatedRecordThrowsUnderThrowPolicy)
     MemRef r;
     EXPECT_TRUE(reader.next(r));
     EXPECT_THROW(reader.next(r), std::invalid_argument);
+}
+
+std::vector<std::uint8_t>
+readFile(const std::string &path)
+{
+    std::vector<std::uint8_t> bytes;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f) {
+        ADD_FAILURE() << "cannot read " << path;
+        return bytes;
+    }
+    for (int c; (c = std::fgetc(f)) != EOF;)
+        bytes.push_back(static_cast<std::uint8_t>(c));
+    std::fclose(f);
+    return bytes;
+}
+
+void
+writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr) << path;
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    std::fclose(f);
+}
+
+/** The records a throwing reader returned, and the error that ended it. */
+struct Drained
+{
+    std::vector<MemRef> refs;
+    std::string error;
+};
+
+/** Drain @p path with nextBatch() at @p batch, or with next() at 0. */
+Drained
+drain(const std::string &path, std::size_t batch)
+{
+    Drained out;
+    try {
+        TraceReader reader(path, TraceReader::ErrorPolicy::Throw);
+        MemRef one;
+        std::vector<MemRef> buf(batch);
+        if (batch == 0) {
+            while (reader.next(one))
+                out.refs.push_back(one);
+        } else {
+            while (std::size_t got = reader.nextBatch(buf.data(), batch))
+                out.refs.insert(out.refs.end(), buf.begin(),
+                                buf.begin() +
+                                    static_cast<std::ptrdiff_t>(got));
+        }
+    } catch (const std::invalid_argument &e) {
+        out.error = e.what();
+    }
+    return out;
+}
+
+/**
+ * TraceReader must agree with the naive oracle on @p path: the same
+ * records and the same error through next() and through nextBatch()
+ * at batch sizes around the fast path's 31-byte window and the
+ * 4096-reference simulate block.  A batch that meets an error throws,
+ * so only the whole batches before the bad record come back.
+ */
+void
+expectMatchesOracle(const std::string &path)
+{
+    OracleDecode want = oracleDecode(readFile(path), path);
+    for (std::size_t batch : {0u, 1u, 31u, 4096u, 4097u}) {
+        Drained got = drain(path, batch);
+        std::size_t returned = want.refs.size();
+        if (batch > 0 && !want.error.empty())
+            returned = returned / batch * batch;
+        EXPECT_EQ(got.error, want.error) << "batch " << batch;
+        EXPECT_EQ(got.refs,
+                  std::vector<MemRef>(want.refs.begin(),
+                                      want.refs.begin() +
+                                          static_cast<std::ptrdiff_t>(
+                                              returned)))
+            << "batch " << batch;
+    }
+}
+
+TEST_F(TraceFileTest, EveryRegistryModelDecodesLikeTheOracle)
+{
+    for (const AppModel &app : appRegistry()) {
+        SCOPED_TRACE(app.name);
+        std::unique_ptr<RefStream> stream = buildApp(app, 2000);
+        std::vector<MemRef> refs = collect(*stream);
+        stream->reset();
+        ASSERT_EQ(dumpTrace(*stream, _path), refs.size());
+        OracleDecode want = oracleDecode(readFile(_path), _path);
+        EXPECT_EQ(want.error, "");
+        EXPECT_EQ(want.refs, refs);
+        expectMatchesOracle(_path);
+    }
+}
+
+/**
+ * Deltas of 2^63 and 2^64-1 take the longest legal varint (ten bytes,
+ * the last carrying one bit), so each record here is exactly
+ * kTraceMaxRecordBytes long, and the last one ends at the last byte
+ * the unchecked decode may read.
+ */
+TEST_F(TraceFileTest, LongestRecordsRoundTrip)
+{
+    const Addr top = Addr{1} << 63;
+    const std::uint64_t last = ~std::uint64_t{0};
+    std::vector<MemRef> refs = {ref(top, top, true, last),
+                                ref(0, 0, false, last - 1),
+                                ref(top, top, true, last - 2)};
+    {
+        TraceWriter writer(_path);
+        for (const MemRef &r : refs)
+            writer.write(r);
+    }
+    ASSERT_EQ(readFile(_path).size(),
+              kTraceHeaderBytes + refs.size() * kTraceMaxRecordBytes);
+    EXPECT_EQ(oracleDecode(readFile(_path), _path).refs, refs);
+    expectMatchesOracle(_path);
+}
+
+TEST_F(TraceFileTest, LongTraceDecodesAcrossBufferRefills)
+{
+    std::unique_ptr<RefStream> stream = buildApp("mcf", 60000);
+    std::vector<MemRef> refs = collect(*stream);
+    stream->reset();
+    dumpTrace(*stream, _path);
+    // Past three 64 KiB read buffers, so records straddle refills.
+    ASSERT_GE(readFile(_path).size(), 200000u);
+    EXPECT_EQ(oracleDecode(readFile(_path), _path).refs, refs);
+    expectMatchesOracle(_path);
+
+    // next() and nextBatch() alternate across every refill boundary.
+    TraceReader reader(_path);
+    std::vector<MemRef> out;
+    std::vector<MemRef> buf(1000);
+    MemRef one;
+    while (reader.next(one)) {
+        out.push_back(one);
+        std::size_t got = reader.nextBatch(buf.data(), buf.size());
+        out.insert(out.end(), buf.begin(),
+                   buf.begin() + static_cast<std::ptrdiff_t>(got));
+    }
+    EXPECT_EQ(out, refs);
+}
+
+/**
+ * Error paths through nextBatch().  The records are five bytes each
+ * (flag, +64 vaddr, zero pc and icount deltas), so record k starts at
+ * byte 16 + 5k, and the reader's first 64 KiB fill (bytes 16 to
+ * 65551) ends one byte into record kStraddle.
+ */
+class TraceErrorTest : public TraceFileTest
+{
+  protected:
+    static constexpr std::size_t kStraddle = 65536 / 5;
+
+    std::vector<MemRef> _refs;
+
+    static std::size_t start(std::size_t k) { return 16 + 5 * k; }
+
+    /** The trace image of @p n five-byte records. */
+    std::vector<std::uint8_t>
+    image(std::size_t n)
+    {
+        _refs.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            _refs.push_back(ref(64 * (i + 1), 0));
+        {
+            TraceWriter writer(_path);
+            for (const MemRef &r : _refs)
+                writer.write(r);
+        }
+        std::vector<std::uint8_t> bytes = readFile(_path);
+        EXPECT_EQ(bytes.size(), start(n));
+        return bytes;
+    }
+
+    static void
+    setCount(std::vector<std::uint8_t> &bytes, std::uint64_t count)
+    {
+        for (int i = 0; i < 8; ++i)
+            bytes[8 + i] = static_cast<std::uint8_t>(count >> (8 * i));
+    }
+
+    /** @p n records and a never-ending varint before record @p k. */
+    void
+    writeMalformed(std::size_t n, std::size_t k)
+    {
+        std::vector<std::uint8_t> bytes = image(n);
+        std::vector<std::uint8_t> bad(1 + 10, 0xff);
+        bad[0] = 0; // flag byte, then ten continuation bytes
+        bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(start(k)),
+                     bad.begin(), bad.end());
+        setCount(bytes, n + 1);
+        writeFile(_path, bytes);
+    }
+
+    /**
+     * The oracle fails after @p good records with @p why, and the
+     * reader agrees with it.
+     */
+    void
+    expectError(std::size_t good, const std::string &why)
+    {
+        OracleDecode want = oracleDecode(readFile(_path), _path);
+        EXPECT_EQ(want.error, "trace file '" + _path + "' " + why);
+        EXPECT_EQ(want.refs, std::vector<MemRef>(
+                                 _refs.begin(),
+                                 _refs.begin() +
+                                     static_cast<std::ptrdiff_t>(good)));
+        expectMatchesOracle(_path);
+    }
+};
+
+TEST_F(TraceErrorTest, MalformedVarintInTheFinalBytes)
+{
+    writeMalformed(3, 3);
+    expectError(3, "has malformed varint");
+}
+
+TEST_F(TraceErrorTest, MalformedVarintMidBuffer)
+{
+    writeMalformed(40, 20); // 100 valid bytes follow the bad record
+    expectError(20, "has malformed varint");
+}
+
+TEST_F(TraceErrorTest, MalformedVarintAcrossTheFirstRefill)
+{
+    writeMalformed(kStraddle + 100, kStraddle);
+    expectError(kStraddle, "has malformed varint");
+}
+
+TEST_F(TraceErrorTest, TruncatedRecordInTheFinalBytes)
+{
+    std::vector<std::uint8_t> bytes = image(5);
+    bytes.erase(bytes.end() - 2, bytes.end());
+    writeFile(_path, bytes);
+    expectError(4, "truncated at record 4");
+}
+
+TEST_F(TraceErrorTest, TruncatedRecordAtEveryCutAroundTheFirstRefill)
+{
+    // A file ends only once, so a truncated record is always in its
+    // last bytes.  Cutting at every byte around the first fill's end
+    // covers a file ending inside that fill, exactly at its end, and
+    // inside the record whose head a refill carries forward.
+    std::vector<std::uint8_t> whole = image(kStraddle + 3);
+    for (std::size_t cut = start(kStraddle - 2); cut < whole.size(); ++cut) {
+        writeFile(_path,
+                  std::vector<std::uint8_t>(
+                      whole.begin(),
+                      whole.begin() + static_cast<std::ptrdiff_t>(cut)));
+        std::size_t good = (cut - 16) / 5;
+        SCOPED_TRACE(cut);
+        expectError(good, "truncated at record " + std::to_string(good));
+    }
+}
+
+TEST_F(TraceErrorTest, HeaderCountAboveTheRecordsPresent)
+{
+    std::vector<std::uint8_t> bytes = image(40);
+    setCount(bytes, 43);
+    writeFile(_path, bytes);
+    expectError(40, "truncated at record 40");
+}
+
+TEST_F(TraceErrorTest, HeaderCountBelowTheRecordsPresentStopsAtCount)
+{
+    std::vector<std::uint8_t> bytes = image(40);
+    setCount(bytes, 25);
+    writeFile(_path, bytes);
+    OracleDecode want = oracleDecode(readFile(_path), _path);
+    EXPECT_EQ(want.error, "");
+    EXPECT_EQ(want.refs, std::vector<MemRef>(_refs.begin(),
+                                             _refs.begin() + 25));
+    expectMatchesOracle(_path);
+}
+
+/**
+ * A reader that has thrown stays failed: reset(), next() and
+ * nextBatch() rethrow the first error instead of touching the file
+ * handle the failure released.
+ */
+TEST_F(TraceErrorTest, ErrorIsStickyAcrossResetNextAndNextBatch)
+{
+    writeMalformed(kStraddle + 100, 20);
+    TraceReader reader(_path, TraceReader::ErrorPolicy::Throw);
+    std::vector<MemRef> buf(64);
+    std::string first;
+    try {
+        while (reader.nextBatch(buf.data(), buf.size()) > 0) {
+        }
+    } catch (const std::invalid_argument &e) {
+        first = e.what();
+    }
+    ASSERT_NE(first.find("malformed varint"), std::string::npos) << first;
+    auto rethrown = [&](auto &&call) {
+        try {
+            call();
+        } catch (const std::invalid_argument &e) {
+            return std::string(e.what());
+        }
+        return std::string("no error");
+    };
+    MemRef one;
+    EXPECT_EQ(rethrown([&] { reader.reset(); }), first);
+    EXPECT_EQ(rethrown([&] { reader.next(one); }), first);
+    EXPECT_EQ(rethrown([&] { reader.nextBatch(buf.data(), buf.size()); }),
+              first);
+    EXPECT_EQ(rethrown([&] { reader.reset(); }), first);
 }
 
 /**
