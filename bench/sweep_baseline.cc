@@ -31,12 +31,12 @@
  *
  * A fourth phase measures the single-pass multi-mechanism win: the
  * full figure-7 mechanism set replayed from one trace on a one-worker
- * engine, timed in per-mechanism mode (the trace is decoded once per
- * mechanism) and single-pass mode (decoded once for the whole sweep),
- * with the counters checked identical between the modes.  The ratio
- * lands in BENCH_sweep.json as single_pass_speedup, and the
- * single-cell inner-loop throughput as refs_per_sec, so hot-loop
- * regressions are visible independently of engine overhead.
+ * engine, timed in per-mechanism mode (the trace is decoded and the
+ * TLB simulated once per mechanism) and single-pass mode (once for
+ * the whole sweep), with the counters checked identical between the
+ * modes.  The ratio lands in BENCH_sweep.json as single_pass_speedup,
+ * and the single-cell inner-loop throughput as refs_per_sec, so
+ * hot-loop regressions are visible independently of engine overhead.
  *
  * A fifth phase stresses the work-stealing scheduler with the
  * cost-skew it exists for: a batch mixing 8-shard checkpoint chains

@@ -19,6 +19,7 @@
 #include "util/bits.hh"
 #include "util/logging.hh"
 #include "util/snapshot.hh"
+#include "util/wide_set_index.hh"
 
 namespace tlbpf
 {
@@ -77,6 +78,7 @@ class PredictionTable
         if (!isPowerOfTwo(config.numSets()))
             tlbpf_fatal("prediction table sets must be a power of two");
         _rows.resize(config.rows);
+        _index = WideSetIndex(config.numSets(), _ways);
     }
 
     /**
@@ -90,6 +92,8 @@ class PredictionTable
         if (!row)
             return nullptr;
         row->lastUse = ++_clock;
+        if (_index.active())
+            _index.touch(slotOf(row));
         ++_hits;
         return &row->payload;
     }
@@ -113,23 +117,19 @@ class PredictionTable
         if (Payload *p = find(key))
             return *p;
         ++_misses;
-        std::size_t base = setBase(key);
-        Row *victim = nullptr;
-        for (std::size_t w = 0; w < _ways; ++w) {
-            Row &row = _rows[base + w];
-            if (!row.valid) {
-                victim = &row;
-                break;
-            }
-            if (!victim || row.lastUse < victim->lastUse)
-                victim = &row;
-        }
-        if (victim->valid)
+        Row *victim = victimRow(key);
+        std::uint32_t slot = slotOf(victim);
+        if (victim->valid) {
             ++_evictions;
+            if (_index.active())
+                _index.erase(slot);
+        }
         victim->valid = true;
         victim->key = key;
         victim->lastUse = ++_clock;
         victim->payload = Payload{};
+        if (_index.active())
+            _index.insert(slot, key);
         return victim->payload;
     }
 
@@ -141,6 +141,7 @@ class PredictionTable
     {
         for (Row &row : _rows)
             row.valid = false;
+        _index.clear();
         _clock = 0;
         _hits = 0;
         _misses = 0;
@@ -190,7 +191,10 @@ class PredictionTable
     /**
      * Restore state written by snapshotState() into a table of the
      * same geometry; throws std::invalid_argument (via
-     * SnapshotReader::fail) if the row count differs.
+     * SnapshotReader::fail) if the row count differs or the rows are
+     * not a state the table can reach: a key outside its set, a use
+     * clock ahead of the table's, or, in an indexed wide set, a key
+     * held twice.
      */
     template <typename ReadPayload>
     void
@@ -205,7 +209,9 @@ class PredictionTable
             SnapshotReader::fail(
                 "prediction table has " + std::to_string(rows) +
                 " rows, expected " + std::to_string(_rows.size()));
-        for (Row &row : _rows) {
+        std::vector<WideSetIndex::Resident> resident;
+        for (std::uint32_t slot = 0; slot < _rows.size(); ++slot) {
+            Row &row = _rows[slot];
             row.valid = in.boolean();
             if (!row.valid) {
                 row.key = 0;
@@ -215,8 +221,20 @@ class PredictionTable
             }
             row.key = in.u64();
             row.lastUse = in.u64();
+            if (setBase(row.key) != slot - slot % _ways)
+                SnapshotReader::fail("prediction table checkpoint places "
+                                     "key " + std::to_string(row.key) +
+                                     " in the wrong set");
+            if (row.lastUse > _clock)
+                SnapshotReader::fail("prediction table checkpoint row "
+                                     "was used after the table's clock");
             read_payload(in, row.payload);
+            if (_index.active())
+                resident.push_back({slot, row.key, row.lastUse});
         }
+        if (!_index.rebuild(std::move(resident)))
+            SnapshotReader::fail(
+                "duplicate prediction table key in checkpoint");
     }
 
     /**
@@ -258,9 +276,43 @@ class PredictionTable
                static_cast<std::size_t>(_ways);
     }
 
+    std::uint32_t
+    slotOf(const Row *row) const
+    {
+        return static_cast<std::uint32_t>(row - _rows.data());
+    }
+
+    /**
+     * The row a fill of @p key takes: the set's first invalid row in
+     * way order, else its least recently used.
+     */
+    Row *
+    victimRow(std::uint64_t key)
+    {
+        std::size_t base = setBase(key);
+        if (_index.active()) {
+            auto set = static_cast<std::uint32_t>(base / _ways);
+            if (_index.resident(set) == _ways)
+                return &_rows[_index.lruSlot(set)];
+        }
+        Row *victim = nullptr;
+        for (std::size_t w = 0; w < _ways; ++w) {
+            Row &row = _rows[base + w];
+            if (!row.valid)
+                return &row;
+            if (!victim || row.lastUse < victim->lastUse)
+                victim = &row;
+        }
+        return victim;
+    }
+
     Row *
     findRow(std::uint64_t key)
     {
+        if (_index.active()) {
+            std::uint32_t slot = _index.find(key);
+            return slot == WideSetIndex::kNoSlot ? nullptr : &_rows[slot];
+        }
         std::size_t base = setBase(key);
         for (std::size_t w = 0; w < _ways; ++w) {
             Row &row = _rows[base + w];
@@ -273,6 +325,13 @@ class PredictionTable
     TableConfig _config;
     std::uint32_t _ways;
     std::vector<Row> _rows;
+    /**
+     * Lookup and victim acceleration for fully-associative tables
+     * (MP's 256-row table would otherwise scan every row per lookup).
+     * _rows stays authoritative, so victims and snapshot bytes are the
+     * same as the scan's.  Inactive for narrow sets.
+     */
+    WideSetIndex _index;
     std::uint64_t _clock = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

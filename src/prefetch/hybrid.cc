@@ -114,6 +114,21 @@ HybridPrefetcher::restoreState(SnapshotReader &in)
         child->restoreState(in);
 }
 
+namespace
+{
+
+/** RP mechanisms in @p spec, counting through nested hybrids. */
+std::size_t
+recencyCount(const MechanismSpec &spec)
+{
+    std::size_t count = spec.name == "rp" ? 1 : 0;
+    for (const MechanismSpec &child : spec.children)
+        count += recencyCount(child);
+    return count;
+}
+
+} // namespace
+
 void
 registerHybridMechanism(MechanismRegistry &registry)
 {
@@ -131,6 +146,12 @@ registerHybridMechanism(MechanismRegistry &registry)
                 throw std::invalid_argument(
                     "hybrid child 'none' prefetches nothing; drop it "
                     "from the child list");
+        if (recencyCount(spec) > 1)
+            throw std::invalid_argument(
+                "hybrid '" + spec.label() +
+                "' holds more than one RP: every RP threads its "
+                "recency stack through the same page-table link "
+                "words, so two would corrupt each other; keep one");
     };
     hybrid.build = [](const MechanismSpec &spec, PageTable &pt) {
         std::vector<std::unique_ptr<Prefetcher>> children;

@@ -488,8 +488,8 @@ SweepEngine::run(const std::vector<SweepJob> &jobs, PassMode mode,
     }
 
     std::vector<PassUnit> units = buildPassUnits(jobs);
-    // A single-pass group drives its group-width simulators through
-    // one stream: cost ~ stream length x width.
+    // A single-pass group drives group-width mechanism back ends
+    // through one stream: cost ~ stream length x width.
     std::vector<std::uint64_t> weights;
     weights.reserve(units.size());
     for (const PassUnit &unit : units)

@@ -159,15 +159,16 @@ enum class ShardWarmup
  *                           cross-cell parallelism).
  *   PassMode::SinglePass    consecutive functional cells that share a
  *                           workload, reference budget and geometry
- *                           run as ONE stream pass feeding one
- *                           independent simulator per mechanism
+ *                           run as ONE stream pass through one TLB
+ *                           feeding one back end per mechanism
  *                           (simulateMany), so the stream is
- *                           generated/decoded once instead of N
- *                           times.  Results are bit-identical to
- *                           PerMechanism in the same submission
- *                           order; cells that cannot batch (timing
- *                           mode, sharded workloads, singletons) fall
- *                           through to runSweepJob unchanged.
+ *                           generated/decoded and the TLB simulated
+ *                           once instead of N times.  Results are
+ *                           bit-identical to PerMechanism in the
+ *                           same submission order; cells that cannot
+ *                           batch (timing mode, sharded workloads,
+ *                           singletons) fall through to runSweepJob
+ *                           unchanged.
  */
 enum class PassMode
 {

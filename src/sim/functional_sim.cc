@@ -9,20 +9,15 @@
 namespace tlbpf
 {
 
-FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
-                                         const MechanismSpec &spec)
-    : _config(config),
-      _mechLabel(spec.label()),
-      _tlb(config.tlb),
-      _buffer(config.pbEntries),
-      _prefetcher(spec.build(_pt))
+SimFrontEnd::SimFrontEnd(const SimConfig &config)
+    : _config(config), _tlb(config.tlb)
 {
     if (isPowerOfTwo(_config.pageBytes))
         _pageShift = floorLog2(_config.pageBytes);
 }
 
 Vpn
-FunctionalSimulator::pageOf(const MemRef &ref) const
+SimFrontEnd::pageOf(const MemRef &ref) const
 {
     // The paper's page sizes are powers of two, so the hot path is a
     // shift; the division is kept for exotic configs.
@@ -31,78 +26,125 @@ FunctionalSimulator::pageOf(const MemRef &ref) const
 }
 
 void
-FunctionalSimulator::process(const MemRef &ref)
+SimFrontEnd::process(const MemRef &ref, std::span<MechanismBackEnd> backs)
 {
     if (_config.contextSwitchInterval &&
-        _result.refs > 0 &&
-        _result.refs % _config.contextSwitchInterval == 0) {
+        _counters.refs > 0 &&
+        _counters.refs % _config.contextSwitchInterval == 0) {
         _tlb.flush();
-        _buffer.flush();
-        if (_prefetcher)
-            _prefetcher->reset();
-        ++_result.contextSwitches;
+        for (MechanismBackEnd &back : backs)
+            back.flush();
+        ++_counters.contextSwitches;
     }
-    ++_result.refs;
+    ++_counters.refs;
     Vpn vpn = pageOf(ref);
 
     if (_tlb.access(vpn)) {
-        // Ablation mode: the prefetcher observes hits as well (it sits
-        // on the reference stream rather than the miss stream).  RP is
-        // excluded — its stack is defined by TLB evictions.
-        if (_config.trainOnAllRefs && _prefetcher &&
-            _prefetcher->name() != "RP") {
-            _decision.clear();
-            TlbMiss observed{vpn, ref.pc, false, kNoPage};
-            _prefetcher->onMiss(observed, _decision);
-            for (Vpn target : _decision.targets) {
-                if (target == vpn || _tlb.contains(target) ||
-                    _buffer.contains(target)) {
-                    ++_result.prefetchesSuppressed;
-                    continue;
-                }
-                _buffer.insert(target, 0);
-                ++_result.prefetchesIssued;
-            }
-        }
+        // Ablation mode: the prefetchers observe hits as well (they sit
+        // on the reference stream rather than the miss stream).
+        if (_config.trainOnAllRefs)
+            for (MechanismBackEnd &back : backs)
+                back.onHit(vpn, ref.pc, _tlb);
         return;
     }
 
-    ++_result.misses;
+    ++_counters.misses;
     _pt.lookup(vpn); // materialise the translation
+    Vpn evicted = _tlb.insert(vpn).value_or(kNoPage);
+    for (MechanismBackEnd &back : backs)
+        back.onMiss(vpn, ref.pc, evicted, _tlb);
+}
 
+MechanismBackEnd::MechanismBackEnd(const SimConfig &config,
+                                   const MechanismSpec &spec,
+                                   PageTable &pt)
+    : _buffer(config.pbEntries),
+      _prefetcher(spec.build(pt)),
+      _trainOnHits(config.trainOnAllRefs && _prefetcher &&
+                   _prefetcher->name() != "RP")
+{
+}
+
+void
+MechanismBackEnd::flush()
+{
+    _buffer.flush();
+    if (_prefetcher)
+        _prefetcher->reset();
+}
+
+void
+MechanismBackEnd::onHit(Vpn vpn, Addr pc, const Tlb &tlb)
+{
+    if (!_trainOnHits)
+        return;
+    _decision.clear();
+    _prefetcher->onMiss(TlbMiss{vpn, pc, false, kNoPage}, _decision);
+    queuePrefetches(vpn, tlb);
+}
+
+void
+MechanismBackEnd::onMiss(Vpn vpn, Addr pc, Vpn evicted, const Tlb &tlb)
+{
+    // The buffer is probed alongside the TLB; the front end's fill has
+    // already happened, which the buffer never consults.
     Tick ready_at = 0;
     bool pb_hit = _buffer.hitAndPromote(vpn, ready_at);
     if (pb_hit)
-        ++_result.pbHits;
+        ++_counters.pbHits;
     else
-        ++_result.demandFetches;
-
-    std::optional<Vpn> evicted = _tlb.insert(vpn);
+        ++_counters.demandFetches;
 
     if (!_prefetcher)
         return;
-
     _decision.clear();
-    TlbMiss miss{vpn, ref.pc, pb_hit, evicted.value_or(kNoPage)};
-    _prefetcher->onMiss(miss, _decision);
-    _result.stateOps += _decision.stateOps;
+    _prefetcher->onMiss(TlbMiss{vpn, pc, pb_hit, evicted}, _decision);
+    _counters.stateOps += _decision.stateOps;
+    queuePrefetches(vpn, tlb);
+}
 
+void
+MechanismBackEnd::queuePrefetches(Vpn vpn, const Tlb &tlb)
+{
     for (Vpn target : _decision.targets) {
-        if (target == vpn || _tlb.contains(target) ||
+        if (target == vpn || tlb.contains(target) ||
             _buffer.contains(target)) {
-            ++_result.prefetchesSuppressed;
+            ++_counters.prefetchesSuppressed;
             continue;
         }
         _buffer.insert(target, 0);
-        ++_result.prefetchesIssued;
+        ++_counters.prefetchesIssued;
     }
+}
+
+namespace
+{
+
+/** One cell's counters: @p front's plus @p back's, derived ones fresh. */
+SimResult
+cellResult(const SimFrontEnd &front, const MechanismBackEnd &back)
+{
+    SimResult r = front.counters();
+    addCounters(r, back.counters());
+    r.footprintPages = front.pageTable().size();
+    r.pbEvictedUnused = back.buffer().evictedUnused();
+    return r;
+}
+
+} // namespace
+
+FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
+                                         const MechanismSpec &spec)
+    : _mechLabel(spec.label()),
+      _front(config),
+      _back(config, spec, _front.pageTable())
+{
 }
 
 const SimResult &
 FunctionalSimulator::result()
 {
-    _result.footprintPages = _pt.size();
-    _result.pbEvictedUnused = _buffer.evictedUnused();
+    _result = cellResult(_front, _back);
     return _result;
 }
 
@@ -148,7 +190,7 @@ readCounters(SnapshotReader &in, SimResult &r)
 bool
 FunctionalSimulator::checkpointable() const
 {
-    return !_prefetcher || _prefetcher->checkpointable();
+    return !_back.prefetcher() || _back.prefetcher()->checkpointable();
 }
 
 SimState
@@ -158,32 +200,37 @@ FunctionalSimulator::snapshot() const
         throw std::invalid_argument(
             "mechanism '" + _mechLabel +
             "' does not support checkpointing; use replay warm-up");
+    const SimConfig &config = _front.config();
+    const Prefetcher *prefetcher = _back.prefetcher();
     SnapshotWriter out;
     // Rough upper bound on the serialized size: page table entries
     // dominate (33 bytes each), then TLB slots and buffer nodes.
-    out.reserve(512 + 40 * _pt.size() +
-                17 * static_cast<std::size_t>(_config.tlb.entries) +
-                16 * static_cast<std::size_t>(_config.pbEntries));
+    out.reserve(512 + 40 * _front.pageTable().size() +
+                17 * static_cast<std::size_t>(config.tlb.entries) +
+                16 * static_cast<std::size_t>(config.pbEntries));
     out.u32(kSnapshotMagic);
     out.u8(kSnapshotVersion);
 
     // Configuration signature: a checkpoint only restores into a
     // simulator that would have produced it.
-    out.u32(_config.tlb.entries);
-    out.u32(_config.tlb.assoc);
-    out.u32(_config.pbEntries);
-    out.u64(_config.pageBytes);
-    out.boolean(_config.trainOnAllRefs);
-    out.u64(_config.contextSwitchInterval);
+    out.u32(config.tlb.entries);
+    out.u32(config.tlb.assoc);
+    out.u32(config.pbEntries);
+    out.u64(config.pageBytes);
+    out.boolean(config.trainOnAllRefs);
+    out.u64(config.contextSwitchInterval);
     out.str(_mechLabel);
 
-    writeCounters(out, _result);
-    _tlb.snapshotState(out);
-    _buffer.snapshotState(out);
-    _pt.snapshotState(out);
-    out.boolean(_prefetcher != nullptr);
-    if (_prefetcher)
-        _prefetcher->snapshotState(out);
+    SimResult counters = cellResult(_front, _back);
+    counters.footprintPages = _result.footprintPages;
+    counters.pbEvictedUnused = _result.pbEvictedUnused;
+    writeCounters(out, counters);
+    _front.tlb().snapshotState(out);
+    _back.buffer().snapshotState(out);
+    _front.pageTable().snapshotState(out);
+    out.boolean(prefetcher != nullptr);
+    if (prefetcher)
+        prefetcher->snapshotState(out);
     return SimState{out.take()};
 }
 
@@ -197,12 +244,13 @@ FunctionalSimulator::restore(const SimState &state)
         SnapshotReader::fail("unsupported checkpoint version " +
                              std::to_string(version));
 
-    if (in.u32() != _config.tlb.entries ||
-        in.u32() != _config.tlb.assoc ||
-        in.u32() != _config.pbEntries ||
-        in.u64() != _config.pageBytes ||
-        in.boolean() != _config.trainOnAllRefs ||
-        in.u64() != _config.contextSwitchInterval)
+    const SimConfig &config = _front.config();
+    if (in.u32() != config.tlb.entries ||
+        in.u32() != config.tlb.assoc ||
+        in.u32() != config.pbEntries ||
+        in.u64() != config.pageBytes ||
+        in.boolean() != config.trainOnAllRefs ||
+        in.u64() != config.contextSwitchInterval)
         SnapshotReader::fail(
             "simulator configuration does not match the checkpoint");
     if (std::string mech = in.str(); mech != _mechLabel)
@@ -211,15 +259,27 @@ FunctionalSimulator::restore(const SimState &state)
                              _mechLabel + "'");
 
     readCounters(in, _result);
-    _tlb.restoreState(in);
-    _buffer.restoreState(in);
-    _pt.restoreState(in); // before the mechanism: RP links live here
+    const SimResult &r = _result;
+    _front.counters() = SimResult{.refs = r.refs,
+                                  .misses = r.misses,
+                                  .contextSwitches = r.contextSwitches};
+    _back.counters() =
+        SimResult{.pbHits = r.pbHits,
+                  .demandFetches = r.demandFetches,
+                  .prefetchesIssued = r.prefetchesIssued,
+                  .prefetchesSuppressed = r.prefetchesSuppressed,
+                  .stateOps = r.stateOps};
+    _front.tlb().restoreState(in);
+    _back.buffer().restoreState(in);
+    // Before the mechanism: RP's links live in the page table.
+    _front.pageTable().restoreState(in);
+    Prefetcher *prefetcher = _back.prefetcher();
     bool has_prefetcher = in.boolean();
-    if (has_prefetcher != (_prefetcher != nullptr))
+    if (has_prefetcher != (prefetcher != nullptr))
         SnapshotReader::fail(
             "checkpoint and simulator disagree on mechanism presence");
-    if (_prefetcher)
-        _prefetcher->restoreState(in);
+    if (prefetcher)
+        prefetcher->restoreState(in);
     if (!in.atEnd())
         SnapshotReader::fail("trailing bytes after checkpoint");
     // The whole checkpoint design rests on restore() being the exact
@@ -251,26 +311,24 @@ std::vector<SimResult>
 simulateMany(const SimConfig &config,
              const std::vector<MechanismSpec> &specs, RefStream &stream)
 {
-    // unique_ptr, not by value: a simulator's prefetcher holds a
-    // reference to the simulator's own page table, so the object must
-    // never relocate.
-    std::vector<std::unique_ptr<FunctionalSimulator>> sims;
-    sims.reserve(specs.size());
-    for (const MechanismSpec &spec : specs)
-        sims.push_back(
-            std::make_unique<FunctionalSimulator>(config, spec));
+    SimFrontEnd front(config);
+    // One private page table per mechanism, sized up front so none
+    // relocates: a prefetcher holds a reference to its table.
+    std::vector<PageTable> tables(specs.size());
+    std::vector<MechanismBackEnd> backs;
+    backs.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i)
+        backs.emplace_back(config, specs[i], tables[i]);
     std::vector<MemRef> block(kSimBatchRefs);
     std::size_t got;
     while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (auto &sim : sims) {
-            for (std::size_t i = 0; i < got; ++i)
-                sim->process(block[i]);
-        }
+        for (std::size_t i = 0; i < got; ++i)
+            front.process(block[i], backs);
     }
     std::vector<SimResult> results;
-    results.reserve(sims.size());
-    for (auto &sim : sims)
-        results.push_back(sim->result());
+    results.reserve(backs.size());
+    for (const MechanismBackEnd &back : backs)
+        results.push_back(cellResult(front, back));
     return results;
 }
 

@@ -15,6 +15,11 @@
  *      TLB and buffer suppressed).
  *
  * Prediction accuracy = buffer hits / TLB misses.
+ *
+ * Steps 1 and 3 do not depend on the mechanism, so they live in a
+ * SimFrontEnd and the rest in a MechanismBackEnd: a FunctionalSimulator
+ * is one of each, and a single-pass sweep (simulateMany) drives N back
+ * ends from one front end.
  */
 
 #ifndef TLBPF_SIM_FUNCTIONAL_SIM_HH
@@ -22,6 +27,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -129,7 +135,105 @@ struct SimState
     bool empty() const { return bytes.empty(); }
 };
 
-/** Stepping functional simulator. */
+class MechanismBackEnd;
+
+/**
+ * The mechanism-independent half of the functional simulator: the TLB,
+ * the page table its misses fill, and the counters every mechanism
+ * shares (refs, misses, contextSwitches; footprintPages is the page
+ * table's size).  Mechanisms sit after the TLB and fill their own
+ * prefetch buffers, never the TLB, so nothing a mechanism does changes
+ * this half: one front end can drive any number of back ends.
+ */
+class SimFrontEnd
+{
+  public:
+    explicit SimFrontEnd(const SimConfig &config);
+
+    /**
+     * Feed one reference through the TLB and hand the outcome to every
+     * back end in @p backs, in order: a context switch flushes them, a
+     * miss reaches them after the TLB fill, and a hit reaches them only
+     * under trainOnAllRefs.
+     */
+    void process(const MemRef &ref, std::span<MechanismBackEnd> backs);
+
+    const SimConfig &config() const { return _config; }
+    const Tlb &tlb() const { return _tlb; }
+    Tlb &tlb() { return _tlb; }
+    const PageTable &pageTable() const { return _pt; }
+    PageTable &pageTable() { return _pt; }
+
+    /** refs, misses and contextSwitches; every other field is 0. */
+    const SimResult &counters() const { return _counters; }
+    SimResult &counters() { return _counters; }
+
+  private:
+    Vpn pageOf(const MemRef &ref) const;
+
+    SimConfig _config;
+    /** log2(pageBytes) when it is a power of two, else UINT32_MAX. */
+    std::uint32_t _pageShift = UINT32_MAX;
+    PageTable _pt;
+    Tlb _tlb;
+    SimResult _counters;
+};
+
+/**
+ * The per-mechanism half of the functional simulator: the prefetch
+ * buffer, the prefetcher, and the counters only they move (pbHits,
+ * demandFetches, prefetchesIssued/Suppressed and stateOps;
+ * pbEvictedUnused is the buffer's).
+ */
+class MechanismBackEnd
+{
+  public:
+    /** Build @p spec's prefetcher over @p pt, which must outlive it. */
+    MechanismBackEnd(const SimConfig &config, const MechanismSpec &spec,
+                     PageTable &pt);
+
+    /** Context switch: empty the buffer, reset the prediction state. */
+    void flush();
+
+    /** A TLB hit on @p vpn under trainOnAllRefs. */
+    void onHit(Vpn vpn, Addr pc, const Tlb &tlb);
+
+    /**
+     * A TLB miss on @p vpn after the front end's fill, which evicted
+     * @p evicted (kNoPage if the set had room): probe the buffer, train
+     * the mechanism and queue its prefetches.
+     */
+    void onMiss(Vpn vpn, Addr pc, Vpn evicted, const Tlb &tlb);
+
+    const PrefetchBuffer &buffer() const { return _buffer; }
+    PrefetchBuffer &buffer() { return _buffer; }
+    const Prefetcher *prefetcher() const { return _prefetcher.get(); }
+    Prefetcher *prefetcher() { return _prefetcher.get(); }
+
+    /** The back end's counter fields; every other field is 0. */
+    const SimResult &counters() const { return _counters; }
+    SimResult &counters() { return _counters; }
+
+  private:
+    /**
+     * Queue the decision's targets into the buffer, suppressing the
+     * missed page itself and pages already in the TLB or the buffer.
+     */
+    void queuePrefetches(Vpn vpn, const Tlb &tlb);
+
+    PrefetchBuffer _buffer;
+    std::unique_ptr<Prefetcher> _prefetcher;
+    PrefetchDecision _decision;
+    /**
+     * Whether TLB hits train the mechanism: under trainOnAllRefs, for
+     * every mechanism but RP, whose stack is defined by TLB evictions.
+     * A hybrid with an RP child still trains on hits.
+     */
+    bool _trainOnHits;
+    SimResult _counters;
+};
+
+/** Stepping functional simulator: one front end, one back end. */
 class FunctionalSimulator
 {
   public:
@@ -137,7 +241,11 @@ class FunctionalSimulator
                         const MechanismSpec &spec);
 
     /** Feed one reference. */
-    void process(const MemRef &ref);
+    void
+    process(const MemRef &ref)
+    {
+        _front.process(ref, std::span<MechanismBackEnd>(&_back, 1));
+    }
 
     /** Counters so far (footprint refreshed on each call). */
     const SimResult &result();
@@ -166,30 +274,29 @@ class FunctionalSimulator
      */
     void restore(const SimState &state);
 
-    const Tlb &tlb() const { return _tlb; }
-    const PrefetchBuffer &buffer() const { return _buffer; }
-    const PageTable &pageTable() const { return _pt; }
-    Prefetcher *prefetcher() { return _prefetcher.get(); }
+    const Tlb &tlb() const { return _front.tlb(); }
+    const PrefetchBuffer &buffer() const { return _back.buffer(); }
+    const PageTable &pageTable() const { return _front.pageTable(); }
+    Prefetcher *prefetcher() { return _back.prefetcher(); }
 
   private:
-    Vpn pageOf(const MemRef &ref) const;
-
-    SimConfig _config;
     std::string _mechLabel;
-    /** log2(pageBytes) when it is a power of two, else UINT32_MAX. */
-    std::uint32_t _pageShift = UINT32_MAX;
-    PageTable _pt;
-    Tlb _tlb;
-    PrefetchBuffer _buffer;
-    std::unique_ptr<Prefetcher> _prefetcher;
-    PrefetchDecision _decision;
+    SimFrontEnd _front;
+    /** Built over _front's page table, which RP's links live in. */
+    MechanismBackEnd _back;
+    /**
+     * The counters as last returned by result().  A checkpoint records
+     * the derived footprintPages and pbEvictedUnused from here rather
+     * than live, which keeps its bytes identical to the checkpoints
+     * already in on-disk stores.
+     */
     SimResult _result;
 };
 
 /**
  * References pulled per nextBatch call by the batched simulate loops:
  * large enough to amortise the virtual dispatch, small enough that the
- * block stays cache-resident while N simulators consume it.
+ * block stays cache-resident.
  */
 constexpr std::size_t kSimBatchRefs = 4096;
 
@@ -198,12 +305,23 @@ SimResult simulate(const SimConfig &config, const MechanismSpec &spec,
                    RefStream &stream);
 
 /**
- * Run @p stream to exhaustion once, feeding every reference block to
- * one independent simulator per mechanism in @p specs — the
- * single-pass multi-mechanism mode.  The simulators share nothing but
- * the decoded reference blocks, so result i is bit-identical to
- * simulate(config, specs[i], stream) over a fresh stream; the stream
- * generation/decode cost is paid once instead of specs.size() times.
+ * Run @p stream to exhaustion once under every mechanism in @p specs:
+ * the single-pass multi-mechanism mode.  One SimFrontEnd runs the TLB
+ * and page table for all of them and hands each reference's outcome to
+ * one MechanismBackEnd per spec, in order.  Result i is bit-identical
+ * to simulate(config, specs[i], stream) over a fresh stream, because
+ * sharing the front end is exact:
+ *   - prefetches land in each mechanism's own buffer and never enter
+ *     the TLB, so the TLB's hit/miss/eviction sequence is the same
+ *     under every mechanism;
+ *   - the page-table entries simulate() creates are exactly the
+ *     missed pages, so the shared table's size is every cell's
+ *     footprint.
+ * Each prefetcher is built over a private page table rather than the
+ * shared one.  Only RP writes page-table entries, and its stack creates
+ * every entry it touches.  The stream is generated or decoded once and
+ * the TLB and page table are simulated once, instead of specs.size()
+ * times.
  */
 std::vector<SimResult> simulateMany(const SimConfig &config,
                                     const std::vector<MechanismSpec> &specs,

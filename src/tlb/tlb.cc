@@ -1,6 +1,5 @@
 #include "tlb/tlb.hh"
 
-#include <algorithm>
 #include <unordered_set>
 
 #include "util/bits.hh"
@@ -12,24 +11,7 @@ namespace tlbpf
 namespace
 {
 
-/** Index slot sentinel for "no entry hashed here". */
-constexpr std::uint32_t kEmptySlot = UINT32_MAX;
-
-/** Entry-slot sentinel for "no slot" (list ends, cold hit cache). */
-constexpr std::uint32_t kNoSlot = UINT32_MAX;
-
-/** Sets narrower than this are cheaper to scan than to hash. */
-constexpr std::uint32_t kIndexMinWays = 16;
-
-/** splitmix64 finalizer: strong enough that probes stay short. */
-inline std::uint64_t
-hashVpn(Vpn vpn)
-{
-    std::uint64_t x = vpn + 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
+constexpr std::uint32_t kNoSlot = WideSetIndex::kNoSlot;
 
 } // namespace
 
@@ -51,124 +33,20 @@ Tlb::Tlb(const TlbConfig &config)
         _ways = config.assoc;
     }
     _entries.resize(static_cast<std::size_t>(_config.numSets()) * _ways);
-    if (_ways >= kIndexMinWays) {
-        // Power-of-two capacity at least 4x the entry count keeps the
-        // load factor under 25%, so linear probes terminate quickly.
-        std::size_t cap = 64;
-        while (cap < static_cast<std::size_t>(_config.entries) * 4)
-            cap *= 2;
-        _index.assign(cap, kEmptySlot);
-        _lru.assign(_config.numSets(), SetLru{});
-    }
-}
-
-void
-Tlb::lruUnlink(std::uint32_t idx)
-{
-    SetLru &set = _lru[idx / _ways];
-    Entry &e = _entries[idx];
-    if (e.lruPrev != kNoSlot)
-        _entries[e.lruPrev].lruNext = e.lruNext;
-    else
-        set.head = e.lruNext;
-    if (e.lruNext != kNoSlot)
-        _entries[e.lruNext].lruPrev = e.lruPrev;
-    else
-        set.tail = e.lruPrev;
-    e.lruPrev = kNoSlot;
-    e.lruNext = kNoSlot;
-}
-
-void
-Tlb::lruPushFront(std::uint32_t idx)
-{
-    SetLru &set = _lru[idx / _ways];
-    Entry &e = _entries[idx];
-    e.lruPrev = kNoSlot;
-    e.lruNext = set.head;
-    if (set.head != kNoSlot)
-        _entries[set.head].lruPrev = idx;
-    set.head = idx;
-    if (set.tail == kNoSlot)
-        set.tail = idx;
-}
-
-void
-Tlb::rebuildLru()
-{
-    if (_lru.empty())
-        return;
-    std::fill(_lru.begin(), _lru.end(), SetLru{});
-    std::vector<std::uint32_t> order;
-    order.reserve(_entries.size());
-    for (std::uint32_t i = 0; i < _entries.size(); ++i) {
-        _entries[i].lruPrev = kNoSlot;
-        _entries[i].lruNext = kNoSlot;
-        if (_entries[i].valid)
-            order.push_back(i);
-    }
-    // Push in ascending use-clock order so each set's head ends up
-    // being its most recently used entry.
-    std::sort(order.begin(), order.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                  return _entries[a].lastUse < _entries[b].lastUse;
-              });
-    for (std::uint32_t idx : order) {
-        lruPushFront(idx);
-        ++_lru[idx / _ways].resident;
-    }
-}
-
-void
-Tlb::indexInsert(Vpn vpn, std::uint32_t slot)
-{
-    std::size_t mask = _index.size() - 1;
-    std::size_t b = hashVpn(vpn) & mask;
-    while (_index[b] != kEmptySlot)
-        b = (b + 1) & mask;
-    _index[b] = slot;
-}
-
-void
-Tlb::indexErase(Vpn vpn)
-{
-    std::size_t mask = _index.size() - 1;
-    std::size_t b = hashVpn(vpn) & mask;
-    while (true) {
-        std::uint32_t slot = _index[b];
-        tlbpf_assert(slot != kEmptySlot,
-                     "TLB index missing VPN ", vpn, " on erase");
-        if (_entries[slot].vpn == vpn)
-            break;
-        b = (b + 1) & mask;
-    }
-    // Backward-shift deletion: walk the probe chain after the hole and
-    // rehome any element whose probe path crossed it, so lookups never
-    // need tombstones.
-    std::size_t hole = b;
-    std::size_t i = (b + 1) & mask;
-    while (_index[i] != kEmptySlot) {
-        std::size_t home = hashVpn(_entries[_index[i]].vpn) & mask;
-        if (((i - home) & mask) >= ((i - hole) & mask)) {
-            _index[hole] = _index[i];
-            hole = i;
-        }
-        i = (i + 1) & mask;
-    }
-    _index[hole] = kEmptySlot;
+    _index = WideSetIndex(_config.numSets(), _ways);
 }
 
 void
 Tlb::rebuildIndex()
 {
-    if (_index.empty())
-        return;
-    std::fill(_index.begin(), _index.end(), kEmptySlot);
-    for (std::size_t slot = 0; slot < _entries.size(); ++slot) {
-        if (_entries[slot].valid)
-            indexInsert(_entries[slot].vpn,
-                        static_cast<std::uint32_t>(slot));
+    std::vector<WideSetIndex::Resident> resident;
+    resident.reserve(_resident);
+    for (std::uint32_t i = 0; i < _entries.size(); ++i) {
+        if (_entries[i].valid)
+            resident.push_back({i, _entries[i].vpn, _entries[i].lastUse});
     }
+    // restoreState() has already rejected duplicate VPNs.
+    _index.rebuild(std::move(resident));
 }
 
 std::size_t
@@ -180,16 +58,9 @@ Tlb::setIndex(Vpn vpn) const
 Tlb::Entry *
 Tlb::findEntry(Vpn vpn)
 {
-    if (!_index.empty()) {
-        std::size_t mask = _index.size() - 1;
-        std::size_t b = hashVpn(vpn) & mask;
-        while (_index[b] != kEmptySlot) {
-            Entry &e = _entries[_index[b]];
-            if (e.vpn == vpn)
-                return &e;
-            b = (b + 1) & mask;
-        }
-        return nullptr;
+    if (_index.active()) {
+        std::uint32_t slot = _index.find(vpn);
+        return slot == kNoSlot ? nullptr : &_entries[slot];
     }
     std::size_t base = setIndex(vpn);
     for (std::size_t w = 0; w < _ways; ++w) {
@@ -225,10 +96,8 @@ Tlb::access(Vpn vpn)
     e->lastUse = ++_clock;
     std::uint32_t idx =
         static_cast<std::uint32_t>(e - _entries.data());
-    if (!_lru.empty()) {
-        lruUnlink(idx);
-        lruPushFront(idx);
-    }
+    if (_index.active())
+        _index.touch(idx);
     _lastHit = idx;
     return true;
 }
@@ -244,23 +113,12 @@ Tlb::insert(Vpn vpn)
 {
     tlbpf_assert(!contains(vpn), "double insert of VPN ", vpn);
     std::size_t base = setIndex(vpn);
+    auto set = static_cast<std::uint32_t>(base / _ways);
     Entry *victim = nullptr;
-    if (!_lru.empty()) {
-        SetLru &set = _lru[base / _ways];
-        if (set.resident < _ways) {
-            // Free slots are consumed in way order, exactly like the
-            // scan below, so fills land in the same slots either way.
-            for (std::size_t w = 0; w < _ways; ++w) {
-                if (!_entries[base + w].valid) {
-                    victim = &_entries[base + w];
-                    break;
-                }
-            }
-        } else {
-            // The list tail is the unique minimum-clock entry: the
-            // same victim the scan would pick.
-            victim = &_entries[set.tail];
-        }
+    if (_index.active() && _index.resident(set) == _ways) {
+        // A full set's least recently used slot is its unique
+        // minimum-clock entry: the victim the scan below would pick.
+        victim = &_entries[_index.lruSlot(set)];
     } else {
         for (std::size_t w = 0; w < _ways; ++w) {
             Entry &e = _entries[base + w];
@@ -277,22 +135,16 @@ Tlb::insert(Vpn vpn)
     std::optional<Vpn> evicted;
     if (victim->valid) {
         evicted = victim->vpn;
-        if (!_index.empty())
-            indexErase(victim->vpn);
-        if (!_lru.empty())
-            lruUnlink(idx);
+        if (_index.active())
+            _index.erase(idx);
     } else {
         ++_resident;
-        if (!_lru.empty())
-            ++_lru[base / _ways].resident;
     }
     victim->vpn = vpn;
     victim->valid = true;
     victim->lastUse = ++_clock;
-    if (!_lru.empty())
-        lruPushFront(idx);
-    if (!_index.empty())
-        indexInsert(vpn, idx);
+    if (_index.active())
+        _index.insert(idx, vpn);
     _lastHit = idx;
     return evicted;
 }
@@ -303,14 +155,8 @@ Tlb::invalidate(Vpn vpn)
     Entry *e = findEntry(vpn);
     if (!e)
         return false;
-    if (!_index.empty())
-        indexErase(vpn);
-    std::uint32_t idx =
-        static_cast<std::uint32_t>(e - _entries.data());
-    if (!_lru.empty()) {
-        lruUnlink(idx);
-        --_lru[idx / _ways].resident;
-    }
+    if (_index.active())
+        _index.erase(static_cast<std::uint32_t>(e - _entries.data()));
     e->valid = false;
     --_resident;
     return true;
@@ -355,6 +201,11 @@ Tlb::restoreState(SnapshotReader &in)
         }
         e.vpn = in.u64();
         e.lastUse = in.u64();
+        // A use clock ahead of the TLB's would let a later fill rank
+        // older than this entry, which the recency index cannot model.
+        if (e.lastUse > _clock)
+            SnapshotReader::fail("TLB checkpoint entry was used after "
+                                 "the checkpoint's clock");
         if (setIndex(e.vpn) != (i / _ways) * _ways)
             SnapshotReader::fail(
                 "TLB checkpoint places VPN " + std::to_string(e.vpn) +
@@ -364,24 +215,17 @@ Tlb::restoreState(SnapshotReader &in)
         ++_resident;
     }
     rebuildIndex();
-    rebuildLru();
     _lastHit = kNoSlot;
 }
 
 void
 Tlb::flush()
 {
-    for (Entry &e : _entries) {
+    for (Entry &e : _entries)
         e.valid = false;
-        e.lruPrev = kNoSlot;
-        e.lruNext = kNoSlot;
-    }
     _resident = 0;
     _lastHit = kNoSlot;
-    if (!_index.empty())
-        std::fill(_index.begin(), _index.end(), kEmptySlot);
-    if (!_lru.empty())
-        std::fill(_lru.begin(), _lru.end(), SetLru{});
+    _index.clear();
 }
 
 } // namespace tlbpf

@@ -14,6 +14,7 @@
 
 #include "trace/ref_stream.hh"
 #include "util/snapshot.hh"
+#include "util/wide_set_index.hh"
 
 namespace tlbpf
 {
@@ -88,31 +89,13 @@ class Tlb
     {
         Vpn vpn = 0;
         std::uint64_t lastUse = 0;
-        /** Intrusive per-set recency-list links (slot indices). */
-        std::uint32_t lruPrev = UINT32_MAX;
-        std::uint32_t lruNext = UINT32_MAX;
         bool valid = false;
-    };
-
-    /** Recency list endpoints and fill level of one set. */
-    struct SetLru
-    {
-        std::uint32_t head = UINT32_MAX; ///< most recently used
-        std::uint32_t tail = UINT32_MAX; ///< LRU victim candidate
-        std::uint32_t resident = 0;
     };
 
     std::size_t setIndex(Vpn vpn) const;
     Entry *findEntry(Vpn vpn);
     const Entry *findEntry(Vpn vpn) const;
-
-    void indexInsert(Vpn vpn, std::uint32_t slot);
-    void indexErase(Vpn vpn);
     void rebuildIndex();
-
-    void lruUnlink(std::uint32_t idx);
-    void lruPushFront(std::uint32_t idx);
-    void rebuildLru();
 
     TlbConfig _config;
     std::uint32_t _ways;
@@ -120,33 +103,20 @@ class Tlb
     std::uint64_t _clock = 0;
     std::uint32_t _resident = 0;
     /**
-     * Open-addressing vpn -> entry-slot index (linear probing,
-     * backward-shift deletion), used instead of the per-set linear
-     * scan when sets are wide (the paper's fully-associative default
-     * is a 128-entry scan per reference otherwise).  Pure lookup
-     * acceleration: _entries stays authoritative, so replacement
-     * semantics and the snapshot byte format are unchanged.  Empty
-     * when the geometry's sets are narrow enough to scan.
+     * Lookup and victim acceleration for wide sets (the paper's
+     * fully-associative default would otherwise scan 128 ways per
+     * reference and per miss).  _entries stays authoritative, so
+     * replacement semantics and the snapshot byte format are the same
+     * as the scan's.  Inactive when the sets are narrow enough to scan.
      */
-    std::vector<std::uint32_t> _index;
-    /**
-     * Per-set recency lists threaded through the entries, kept in the
-     * same order as the lastUse clocks, so eviction picks the list
-     * tail instead of scanning every way for the minimum clock (the
-     * fully-associative default would scan 128 ways per miss).  Like
-     * _index, pure acceleration: lastUse stays authoritative and is
-     * what the snapshot serializes, so the byte format is unchanged.
-     * Empty for narrow sets, where the scan is cheaper than the
-     * bookkeeping.
-     */
-    std::vector<SetLru> _lru;
+    WideSetIndex _index;
     /**
      * Slot of the most recent hit or fill: consecutive references to
      * the same page short-circuit the probe entirely.  The cached
-     * entry is by construction at the head of its set's recency list,
-     * so only its use clock needs touching.
+     * entry is by construction its set's most recently used, so only
+     * its use clock needs touching.
      */
-    std::uint32_t _lastHit = UINT32_MAX;
+    std::uint32_t _lastHit = WideSetIndex::kNoSlot;
 };
 
 } // namespace tlbpf

@@ -209,6 +209,33 @@ TEST(MechSpecErrors, MalformedHybridChildListThrows)
     }
 }
 
+TEST(MechSpecErrors, HybridWithTwoRecencyStacksThrows)
+{
+    // Every RP threads its stack through the same page-table link
+    // words, so a second RP in one hybrid, however deeply nested,
+    // would corrupt the first.
+    for (const char *bad :
+         {"hybrid(RP+RP)", "hybrid(rp+rp(reach=2))",
+          "hybrid(hybrid(RP+DP,256,D)+RP,4)"}) {
+        try {
+            MechanismSpec::parse(bad);
+            ADD_FAILURE() << "'" << bad << "' parsed";
+        } catch (const std::invalid_argument &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("more than one RP"), std::string::npos)
+                << what;
+        }
+    }
+
+    // A hand-assembled spec is rejected at build time too.
+    MechanismSpec one = MechanismSpec::parse("hybrid(RP+DP,256,D)");
+    PageTable pt;
+    EXPECT_NE(one.build(pt), nullptr);
+    MechanismSpec two = one;
+    two.children[1] = MechanismSpec::parse("RP");
+    EXPECT_THROW(two.build(pt), std::invalid_argument);
+}
+
 TEST(MechSpecErrors, RpLegendFieldMustBeEven)
 {
     EXPECT_EQ(MechanismSpec::parse("RP,4").uintParam("reach"), 2u);

@@ -808,5 +808,37 @@ TEST(Server, ShardedRequestsShareCheckpointsAcrossRequests)
     serving.join();
 }
 
+/**
+ * A mechanism that parses but fails validation, such as a hybrid with
+ * two RP stacks, costs the client an error frame and never the
+ * server: the same server answers the next request.
+ */
+TEST(Server, InvalidMechanismGetsAnErrorFrameAndTheServerLives)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    SweepRequest request;
+    request.workloads = {"app:gcc"};
+    request.mechanisms = {"hybrid(RP+RP,4)"};
+    request.refs = kRefs;
+    try {
+        ServiceClient("127.0.0.1", server.port()).sweep(request);
+        ADD_FAILURE() << "the server ran a hybrid with two RP stacks";
+    } catch (const std::runtime_error &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("server error"), std::string::npos) << what;
+        EXPECT_NE(what.find("more than one RP"), std::string::npos)
+            << what;
+    }
+    ServiceClient("127.0.0.1", server.port()).ping();
+
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
 } // namespace
 } // namespace tlbpf

@@ -250,13 +250,29 @@ TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
 {
     std::vector<std::vector<SweepJob>> batches;
 
-    // The canonical shape: one workload, several mechanisms.
-    std::vector<SweepJob> uniform;
-    for (const char *spec : {"DP,256,D", "RP", "ASP,256,D", "MP,256,D"})
-        uniform.push_back(
-            SweepJob::functional(WorkloadSpec::app("mcf"),
-                                 MechanismSpec::parse(spec), kRefs));
-    batches.push_back(uniform);
+    // The canonical shape, widened: every Figure 7 mechanism plus SP,
+    // the wider RP and a hybrid holding RP share one stream pass, under
+    // each geometry and ablation that changes what the shared front
+    // end hands its back ends.
+    std::vector<MechanismSpec> specs = figure7Specs();
+    for (const char *extra : {"SP", "RP,4", "hybrid(RP+DP,256,D)"})
+        specs.push_back(MechanismSpec::parse(extra));
+    std::vector<SimConfig> configs(6);
+    configs[1].tlb = {64, 4}; // narrow sets: the scan path, no index
+    configs[2].trainOnAllRefs = true;
+    configs[3].contextSwitchInterval = 10000;
+    configs[4].pbEntries = 4;
+    configs[5].pbEntries = 64;
+    std::vector<SweepJob> grouped;
+    for (const WorkloadSpec &workload :
+         {WorkloadSpec::app("mcf"),
+          WorkloadSpec::trace(std::string(TLBPF_TEST_DATA_DIR) +
+                              "/sample.tpf")})
+        for (const SimConfig &config : configs)
+            for (const MechanismSpec &spec : specs)
+                grouped.push_back(SweepJob::functional(
+                    workload, spec, 4 * kRefs, config));
+    batches.push_back(grouped);
 
     // Piecewise: workload flips mid-batch, a timed cell splits a
     // group, and a tail cell stands alone.
@@ -284,25 +300,16 @@ TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
         ASSERT_EQ(per_mech.size(), jobs.size());
         ASSERT_EQ(single_pass.size(), jobs.size());
         for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SimResult &a = per_mech[i].functional;
-            const SimResult &b = single_pass[i].functional;
-            EXPECT_EQ(a.refs, b.refs) << "slot " << i;
-            EXPECT_EQ(a.misses, b.misses) << "slot " << i;
-            EXPECT_EQ(a.pbHits, b.pbHits) << "slot " << i;
-            EXPECT_EQ(a.demandFetches, b.demandFetches) << "slot " << i;
-            EXPECT_EQ(a.prefetchesIssued, b.prefetchesIssued)
-                << "slot " << i;
-            EXPECT_EQ(a.prefetchesSuppressed, b.prefetchesSuppressed)
-                << "slot " << i;
-            EXPECT_EQ(a.stateOps, b.stateOps) << "slot " << i;
-            EXPECT_EQ(a.footprintPages, b.footprintPages)
-                << "slot " << i;
-            EXPECT_EQ(per_mech[i].mode, single_pass[i].mode)
-                << "slot " << i;
+            std::string cell = "slot " + std::to_string(i) + " (" +
+                               per_mech[i].workload + ", " +
+                               per_mech[i].mechanism + ")";
+            EXPECT_EQ(per_mech[i].functional, single_pass[i].functional)
+                << cell;
+            EXPECT_EQ(per_mech[i].mode, single_pass[i].mode) << cell;
             EXPECT_EQ(per_mech[i].mechanism, single_pass[i].mechanism)
-                << "slot " << i;
+                << cell;
             EXPECT_EQ(per_mech[i].workload, single_pass[i].workload)
-                << "slot " << i;
+                << cell;
         }
     }
 }

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <vector>
+
 #include "tlb/prefetch_buffer.hh"
 #include "tlb/tlb.hh"
 
@@ -91,6 +94,32 @@ TEST(Tlb, BadGeometryIsRejected)
 {
     EXPECT_DEATH(Tlb({100, 3}), "multiple of associativity");
     EXPECT_DEATH(Tlb({96, 2}), "power of two");
+}
+
+/**
+ * The recency index ranks entries by the order they were used, so a
+ * checkpoint must not hold an entry used after the TLB's own clock:
+ * the next fill would rank older than it by clock but newer by order.
+ */
+TEST(Tlb, RestoreRejectsAnEntryUsedAfterTheClock)
+{
+    Tlb tlb({128, 0});
+    tlb.insert(1);
+    tlb.insert(2); // clock 2, the entry for page 2 last used at 2
+    SnapshotWriter out;
+    tlb.snapshotState(out);
+    std::vector<std::uint8_t> bytes = out.take();
+
+    Tlb restored({128, 0});
+    SnapshotReader in(bytes);
+    restored.restoreState(in);
+    EXPECT_TRUE(restored.contains(1));
+    EXPECT_TRUE(restored.contains(2));
+
+    bytes[0] = 1; // the clock is the first little-endian word
+    SnapshotReader behind(bytes);
+    Tlb rejecting({128, 0});
+    EXPECT_THROW(rejecting.restoreState(behind), std::invalid_argument);
 }
 
 TEST(Tlb, PaperConfigurationsConstruct)
