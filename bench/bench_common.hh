@@ -39,7 +39,7 @@
  *                                  functional cells into one stream
  *                                  pass over N simulators (default
  *                                  on; bit-identical results either
- *                                  way; ignored when --shards > 1)
+ *                                  way; shards never share a pass)
  *
  * The pre-registry per-scheme flags (--scheme/--rows/--assoc/--slots/
  * --degree/--adaptive/--reach) were deprecated in the release that
@@ -84,7 +84,7 @@ struct BenchOptions
     ShardWarmup shardWarmup = ShardWarmup::Checkpoint;
     /**
      * Drain each distinct stream once for all of its mechanisms
-     * (--single-pass, default on).  Only applies to unsharded runs;
+     * (--single-pass, default on).  Shards never share a pass;
      * results are bit-identical in both settings.
      */
     bool singlePass = true;
@@ -406,16 +406,12 @@ inline std::vector<SweepResult>
 runBatch(const BenchOptions &options, const std::vector<SweepJob> &jobs)
 {
     try {
-        if (options.shards <= 1 && options.singlePass) {
-            SweepEngine engine(options.threads);
-            return engine.run(jobs, PassMode::SinglePass);
-        }
-        // No point spinning up more workers than the schedule has
-        // independent tasks (checkpoint chains serialise a cell's
-        // shards into one task).
-        ShardPlan plan = expandShards(jobs, options.shards);
-        std::size_t tasks = std::max<std::size_t>(
-            shardTaskCount(plan, options.shardWarmup), 1);
+        Plan plan = makePlan(jobs, options.shards, options.shardWarmup,
+                             options.singlePass ? PassMode::SinglePass
+                                                : PassMode::PerMechanism);
+        // No point spinning up more workers than the plan has tasks
+        // (a single-pass group or a checkpoint chain is one task).
+        std::size_t tasks = std::max<std::size_t>(plan.tasks().size(), 1);
         if (options.shardWarmup == ShardWarmup::Checkpoint &&
             options.shards > 1 && tasks < options.threads) {
             // Chaining trades replay's wall-clock fan-out for ~1x
@@ -431,10 +427,9 @@ runBatch(const BenchOptions &options, const std::vector<SweepJob> &jobs)
                          tasks, tasks == 1 ? "" : "s",
                          options.threads);
         }
-        unsigned threads = static_cast<unsigned>(
-            std::min<std::size_t>(options.threads, tasks));
-        SweepEngine engine(threads);
-        return engine.runSharded(plan, options.shardWarmup);
+        SweepEngine engine(static_cast<unsigned>(
+            std::min<std::size_t>(options.threads, tasks)));
+        return engine.run(plan);
     } catch (const std::invalid_argument &e) {
         tlbpf_fatal(e.what());
     }

@@ -83,6 +83,7 @@
 
 #include "bench_common.hh"
 #include "dispatch/dispatcher.hh"
+#include "dispatch/worker.hh"
 #include "service/client.hh"
 #include "service/server.hh"
 #include "trace/trace_file.hh"
@@ -333,16 +334,18 @@ main(int argc, char **argv)
             skew_plan.groupSizes.push_back(1);
         }
     }
+    Plan skew_tasks = makePlan(std::move(skew_plan),
+                               ShardWarmup::Checkpoint,
+                               PassMode::PerMechanism);
     SweepEngine skew_engine(options.threads);
     auto skew_start = Clock::now();
-    std::vector<SweepResult> skew_results =
-        skew_engine.runSharded(skew_plan, ShardWarmup::Checkpoint);
+    std::vector<SweepResult> skew_results = skew_engine.run(skew_tasks);
     double skew_s =
         std::chrono::duration<double>(Clock::now() - skew_start)
             .count();
     const ThreadPool::BatchStats &sched = skew_engine.lastBatchStats();
     std::vector<SweepResult> skew_serial =
-        SweepEngine(1).runSharded(skew_plan, ShardWarmup::Checkpoint);
+        SweepEngine(1).run(skew_tasks);
     for (std::size_t i = 0; i < skew_results.size(); ++i)
         if (skew_results[i].functional.misses !=
                 skew_serial[i].functional.misses ||
@@ -425,26 +428,24 @@ main(int argc, char **argv)
         for (const MechanismSpec &spec : functional_mechs)
             fleet_jobs.push_back(SweepJob::functional(
                 WorkloadSpec::app(app), spec, options.refs));
-    ShardPlan fleet_plan;
-    fleet_plan.jobs = fleet_jobs;
-    fleet_plan.groupSizes.assign(fleet_jobs.size(), 1);
     SweepEngine fleet_engine(1);
     Dispatcher fleet_dispatcher(fleet_engine);
     std::atomic<bool> fleet_done{false};
     auto pull_leases = [&] {
         std::uint64_t id = fleet_dispatcher.registerWorker(1);
+        SweepEngine puller(1);
         LeaseGrant grant;
         while (!fleet_done.load()) {
             if (!fleet_dispatcher.lease(id, grant)) {
                 std::this_thread::yield();
                 continue;
             }
-            std::vector<SweepResult> computed;
-            computed.reserve(grant.jobs.size());
-            for (const SweepJob &job : grant.jobs)
-                computed.push_back(runSweepJob(job));
-            fleet_dispatcher.completeLease(grant.lease,
-                                           std::move(computed));
+            CellResultMsg answer = runLease(puller, grant);
+            if (answer.failed())
+                fleet_dispatcher.failLease(grant.lease);
+            else
+                fleet_dispatcher.completeLease(
+                    grant.lease, std::move(answer.results));
         }
         fleet_dispatcher.unregisterWorker(id);
     };
@@ -454,7 +455,8 @@ main(int argc, char **argv)
         std::this_thread::yield(); // both registered before the batch
     auto fleet_start = Clock::now();
     std::vector<SweepResult> fleet_results = fleet_dispatcher.runBatch(
-        fleet_plan, ShardWarmup::Replay, PassMode::PerMechanism,
+        makePlan(fleet_jobs, 1, ShardWarmup::Replay,
+                 PassMode::PerMechanism),
         [](std::size_t, const SweepResult &) {});
     double fleet_s =
         std::chrono::duration<double>(Clock::now() - fleet_start)

@@ -15,9 +15,10 @@
  *
  *   {"type":"lease","worker":ID}
  *     -> {"type":"lease_grant","lease":L,"chain":B,"jobs":[...]}
- *        when the dispatcher has leasable cells (a block of plain
- *        cells, or one checkpoint-chained shard group when "chain"
- *        is true — run those jobs sequentially, in order), or
+ *        when the dispatcher has leasable work: with "chain" false,
+ *        one single-pass group (cells sharing a stream) or a block
+ *        of plain cells; with "chain" true, one checkpoint-chained
+ *        shard group — run those jobs sequentially, in order; or
  *     -> {"type":"lease_idle"} when it does not (sleep briefly, ask
  *        again).
  *   {"type":"cell_result","lease":L,"results":[...]}
@@ -82,9 +83,11 @@ struct WorkerWelcome
 };
 
 /**
- * One leased unit of work: a block of independent functional cells,
- * or (chain == true) the shards of one cell in stream order, to be
- * run sequentially so shard k warms from shard k-1's checkpoint.
+ * Leased tasks of the dispatcher's Plan.  chain == false: independent
+ * functional cells — one single-pass group (one stream, so a worker
+ * may drain it once for every mechanism) or a block of plain cells.
+ * chain == true: the shards of one cell in stream order, to be run
+ * sequentially so shard k warms from shard k-1's snapshot.
  */
 struct LeaseGrant
 {

@@ -44,19 +44,8 @@ Dispatcher::unregisterWorker(std::uint64_t worker)
     // A dead worker's leases go straight back in the queue: the CI
     // kill-a-worker smoke relies on this being immediate, not
     // deadline-paced.
-    for (auto it = _leases.begin(); it != _leases.end();) {
-        if (it->second.worker != worker) {
-            ++it;
-            continue;
-        }
-        if (_batch) {
-            for (const Unit &unit : it->second.units)
-                _batch->queue.push_back(unit);
-            _batch->reclaims += 1;
-        }
-        _counters.leaseReclaims += 1;
-        it = _leases.erase(it);
-    }
+    reclaimLocked(
+        [&](const LeaseState &state) { return state.worker == worker; });
     _cv.notify_all();
 }
 
@@ -83,20 +72,22 @@ Dispatcher::lease(std::uint64_t worker, LeaseGrant &out)
     Clock::time_point now = Clock::now();
     reclaimExpiredLocked(now);
 
-    auto takeNext = [&](bool plainOnly) -> bool {
+    const std::vector<Task> &tasks = _batch->plan->tasks();
+    const std::vector<SweepJob> &jobs = _batch->plan->jobs();
+    auto takeNext = [&](bool cellsOnly) -> bool {
         auto &queue = _batch->queue;
         for (auto it = queue.begin(); it != queue.end(); ++it) {
-            if (!it->remoteable || (plainOnly && it->chain))
+            const Task &task = tasks[*it];
+            if (_batch->localOnly[*it] ||
+                (cellsOnly && task.kind != TaskKind::Cell))
                 continue;
-            Unit unit = *it;
-            queue.erase(it);
             LeaseState &state = _leases[out.lease];
-            state.units.push_back(unit);
-            state.jobCount += unit.count;
-            for (std::uint32_t k = 0; k < unit.count; ++k)
-                out.jobs.push_back(
-                    _batch->plan->jobs[unit.first + k]);
-            out.chain = unit.chain;
+            state.tasks.push_back(*it);
+            state.jobCount += task.count;
+            out.jobs.insert(out.jobs.end(), jobs.begin() + task.first,
+                            jobs.begin() + task.first + task.count);
+            out.chain = task.kind == TaskKind::Chain;
+            queue.erase(it);
             return true;
         }
         return false;
@@ -105,33 +96,32 @@ Dispatcher::lease(std::uint64_t worker, LeaseGrant &out)
     out.lease = _nextLease; // reserved; only consumed on a grant
     out.chain = false;
     out.jobs.clear();
-    if (!takeNext(/*plainOnly=*/false)) {
-        _leases.erase(out.lease);
+    if (!takeNext(/*cellsOnly=*/false))
         return false;
-    }
-    if (!out.chain) {
-        // Fill the block with more plain cells, up to the worker's
-        // own width; a chain is always granted alone (it is one
-        // sequential task however many shards it spans).
+    LeaseState &state = _leases[out.lease];
+    if (tasks[state.tasks.front()].kind == TaskKind::Cell) {
+        // Fill the block with more cells, up to the worker's own
+        // width; a single-pass group or a chain is always granted
+        // alone (it is one task however many jobs it spans).
         std::size_t cap =
             std::min<std::size_t>(wit->second, _options.maxLeaseCells);
-        while (out.jobs.size() < cap && takeNext(/*plainOnly=*/true))
+        while (out.jobs.size() < cap && takeNext(/*cellsOnly=*/true))
             ;
     }
     _nextLease += 1;
-    LeaseState &state = _leases[out.lease];
     state.worker = worker;
     state.granted = now;
     state.deadline = now + leaseWindow(_options);
     _counters.leasesGranted += 1;
     // Grant-shape invariants: the payload the worker must send back
     // is one result per job, so the recorded jobCount has to match
-    // what crossed the wire, and a chain is never block-filled.
+    // what crossed the wire, and only cells are block-filled.
     TLBPF_DCHECK(!out.jobs.empty());
     TLBPF_DCHECK_MSG(state.jobCount == out.jobs.size(),
                      "lease ", out.lease, " records ", state.jobCount,
                      " jobs but grants ", out.jobs.size());
-    TLBPF_DCHECK(!out.chain || state.units.size() == 1);
+    TLBPF_DCHECK(state.tasks.size() == 1 ||
+                 tasks[state.tasks.front()].kind == TaskKind::Cell);
     return true;
 }
 
@@ -140,7 +130,7 @@ Dispatcher::completeLease(std::uint64_t lease,
                           std::vector<SweepResult> results)
 {
     Batch *batch = nullptr;
-    std::vector<Unit> units;
+    std::vector<std::size_t> granted;
     {
         std::lock_guard<std::mutex> lock(_mutex);
         auto it = _leases.find(lease);
@@ -152,7 +142,7 @@ Dispatcher::completeLease(std::uint64_t lease,
                 std::to_string(results.size()) +
                 " results for a lease of " +
                 std::to_string(it->second.jobCount) + " cells");
-        units = std::move(it->second.units);
+        granted = std::move(it->second.tasks);
         double busy = std::chrono::duration<double>(
                           Clock::now() - it->second.granted)
                           .count();
@@ -163,23 +153,26 @@ Dispatcher::completeLease(std::uint64_t lease,
         _counters.cellsDispatched += results.size();
         _leases.erase(it);
     }
+    // The emitter serializes delivery itself; completing outside
+    // _mutex keeps the client-write path off the scheduler lock.
     std::size_t offset = 0;
-    for (const Unit &unit : units) {
-        std::vector<SweepResult> slice(
-            std::make_move_iterator(results.begin() + offset),
-            std::make_move_iterator(results.begin() + offset +
-                                    unit.count));
-        offset += unit.count;
-        finishUnit(*batch, unit, std::move(slice));
+    for (std::size_t t : granted) {
+        const Task &task = batch->plan->tasks()[t];
+        std::move(results.begin() + offset,
+                  results.begin() + offset + task.count,
+                  batch->results->slots(task));
+        offset += task.count;
+        batch->results->complete(task);
     }
-    // The jobCount equality checked above guarantees the unit slices
-    // tile the payload exactly; a remainder would mean a unit was
+    // The jobCount equality checked above guarantees the task slices
+    // tile the payload exactly; a remainder would mean a task was
     // reclaimed out from under a live lease entry.
     TLBPF_DCHECK_MSG(offset == results.size(),
-                     "lease ", lease, " units consumed ", offset,
+                     "lease ", lease, " tasks consumed ", offset,
                      " of ", results.size(), " results");
     {
         std::lock_guard<std::mutex> lock(_mutex);
+        batch->tasksDone += granted.size();
         batch->finishers -= 1;
     }
     // `batch` may be destroyed by runBatch() the moment the count
@@ -196,21 +189,14 @@ Dispatcher::failLease(std::uint64_t lease)
     if (it == _leases.end())
         return;
     if (_batch) {
-        for (Unit unit : it->second.units) {
-            unit.remoteable = false; // this work is local-only now
-            _batch->queue.push_back(unit);
+        for (std::size_t t : it->second.tasks) {
+            _batch->localOnly[t] = 1; // this work is local-only now
+            _batch->queue.push_back(t);
         }
     }
     _counters.remoteFailures += 1;
     _leases.erase(it);
     _cv.notify_all();
-}
-
-bool
-Dispatcher::hasWorkers() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return !_workers.empty();
 }
 
 Dispatcher::Counters
@@ -232,14 +218,22 @@ Dispatcher::lastBatchStats() const
 void
 Dispatcher::reclaimExpiredLocked(Clock::time_point now)
 {
+    reclaimLocked(
+        [&](const LeaseState &state) { return state.deadline <= now; });
+}
+
+void
+Dispatcher::reclaimLocked(
+    const std::function<bool(const LeaseState &)> &stale)
+{
     for (auto it = _leases.begin(); it != _leases.end();) {
-        if (it->second.deadline > now) {
+        if (!stale(it->second)) {
             ++it;
             continue;
         }
         if (_batch) {
-            for (const Unit &unit : it->second.units)
-                _batch->queue.push_back(unit);
+            for (std::size_t t : it->second.tasks)
+                _batch->queue.push_back(t);
             _batch->reclaims += 1;
         }
         _counters.leaseReclaims += 1;
@@ -248,77 +242,39 @@ Dispatcher::reclaimExpiredLocked(Clock::time_point now)
 }
 
 void
-Dispatcher::finishUnit(Batch &batch, const Unit &unit,
-                       std::vector<SweepResult> results)
+Dispatcher::runLocal(Batch &batch, std::size_t t)
 {
-    // Fold the unit's shard windows into its pre-expansion cell via
-    // the engine's own reduce step, so a remotely-run chain merges
-    // byte-identically to runSharded().
-    TLBPF_DCHECK_MSG(unit.group < batch.merged.size(),
-                     "unit group ", unit.group, " outside a batch of ",
-                     batch.merged.size(), " groups");
-    TLBPF_DCHECK(unit.first + unit.count <= batch.plan->jobs.size());
-    ShardPlan sub;
-    sub.jobs.assign(batch.plan->jobs.begin() + unit.first,
-                    batch.plan->jobs.begin() + unit.first + unit.count);
-    sub.groupSizes = {unit.count};
-    std::vector<SweepResult> merged = mergeShardResults(sub, results);
+    const Task &task = batch.plan->tasks()[t];
+    std::exception_ptr error;
+    try {
+        runTask(*batch.plan, task, _engine.checkpointHook(),
+                batch.results->slots(task));
+        batch.results->complete(task);
+    } catch (...) {
+        error = std::current_exception();
+    }
     {
         std::lock_guard<std::mutex> lock(_mutex);
-        // Every group resolves exactly once; overshooting means a
-        // reclaimed lease's result was integrated after the local
-        // re-run — double completion (the emitter would also catch
-        // the slot, but this names the lease machinery directly).
-        TLBPF_DCHECK_MSG(batch.groupsDone < batch.merged.size(),
-                         "group completion overshoots: ",
-                         batch.groupsDone + 1, " of ",
-                         batch.merged.size());
-        batch.merged[unit.group] = std::move(merged.front());
-        batch.groupsDone += 1;
-    }
-    // The emitter serializes delivery itself; calling it outside
-    // _mutex keeps the client-write path off the scheduler lock.
-    batch.emitter->complete(unit.group, 1);
-}
-
-void
-Dispatcher::runUnitLocal(Batch &batch, const Unit &unit)
-{
-    CheckpointHook *hook = _engine.checkpointHook();
-    std::vector<SweepResult> results(unit.count);
-    try {
-        // Chain units run their shards in stream order on this one
-        // thread, so shard k warms from the k-1 boundary state the
-        // hook just stored (or replays when checkpointing is off).
-        for (std::uint32_t k = 0; k < unit.count; ++k)
-            results[k] =
-                runSweepJob(batch.plan->jobs[unit.first + k], hook);
-    } catch (...) {
-        {
-            std::lock_guard<std::mutex> lock(_mutex);
-            if (!batch.failed || unit.first < batch.failIndex) {
-                batch.failed = true;
-                batch.failIndex = unit.first;
-                batch.error = std::current_exception();
-            }
-            batch.groupsDone += 1; // resolved, albeit by failing
+        if (error && (!batch.failed || task.first < batch.failIndex)) {
+            batch.failed = true;
+            batch.failIndex = task.first;
+            batch.error = error;
         }
-        _cv.notify_all();
-        return;
+        batch.tasksDone += 1; // resolved, perhaps by failing
     }
-    finishUnit(batch, unit, std::move(results));
     _cv.notify_all();
 }
 
 void
 Dispatcher::localDrain(Batch &batch)
 {
+    std::size_t ntasks = batch.plan->tasks().size();
     for (;;) {
-        Unit unit;
+        std::size_t t;
         {
             std::unique_lock<std::mutex> lock(_mutex);
             for (;;) {
-                if (batch.groupsDone == batch.merged.size())
+                if (batch.tasksDone == ntasks)
                     return;
                 reclaimExpiredLocked(Clock::now());
                 if (!batch.queue.empty()) {
@@ -326,7 +282,7 @@ Dispatcher::localDrain(Batch &batch)
                     // The two ends only meet when the queue is nearly
                     // empty, which keeps the tail of a batch local
                     // (no waiting out a lease on the last cell).
-                    unit = batch.queue.back();
+                    t = batch.queue.back();
                     batch.queue.pop_back();
                     break;
                 }
@@ -341,13 +297,12 @@ Dispatcher::localDrain(Batch &batch)
                                          std::chrono::milliseconds(1));
             }
         }
-        runUnitLocal(batch, unit);
+        runLocal(batch, t);
     }
 }
 
 std::vector<SweepResult>
-Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
-                     PassMode mode,
+Dispatcher::runBatch(const Plan &plan,
                      const SweepEngine::ResultCallback &on_result)
 {
     bool dispatch;
@@ -358,34 +313,20 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
                 "Dispatcher::runBatch is not reentrant");
         dispatch = !_workers.empty();
     }
-    if (!dispatch) {
-        // No fleet: the engine's own paths (including single-pass
-        // stream batching) are both faster and byte-identical, and
-        // they ARE the behaviour the 0-worker CI baseline captures.
-        if (plan.jobs.size() == plan.groupSizes.size())
-            return _engine.run(plan.jobs, mode, on_result);
-        return _engine.runSharded(plan, warmup, on_result);
-    }
+    if (!dispatch)
+        return _engine.run(plan, on_result);
 
+    PlanResults results(plan, on_result);
     Batch batch;
     batch.plan = &plan;
-    batch.merged.resize(plan.groupSizes.size());
-    std::size_t first = 0;
-    for (std::size_t g = 0; g < plan.groupSizes.size(); ++g) {
-        Unit unit;
-        unit.group = g;
-        unit.first = first;
-        unit.count = plan.groupSizes[g];
-        unit.chain = unit.count > 1;
-        unit.remoteable = true;
-        for (std::uint32_t k = 0; k < unit.count; ++k)
-            if (plan.jobs[first + k].mode != JobMode::Functional)
-                unit.remoteable = false;
-        batch.queue.push_back(unit);
-        first += unit.count;
+    batch.results = &results;
+    const std::vector<Task> &tasks = plan.tasks();
+    for (std::size_t t = 0; t < tasks.size(); ++t) {
+        // Only a Cell can be timed; a Pass or Chain is functional.
+        batch.localOnly.push_back(plan.jobs()[tasks[t].first].mode !=
+                                  JobMode::Functional);
+        batch.queue.push_back(t);
     }
-    OrderedEmitter emitter(on_result, batch.merged);
-    batch.emitter = &emitter;
     batch.start = Clock::now();
 
     {
@@ -404,15 +345,14 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
         // still be inside completeLease() emitting its last results;
         // the batch (and its emitter) must outlive that.
         _cv.wait(lock, [&] { return batch.finishers == 0; });
-        // Drain postcondition: every group resolved (completed or
-        // failed) and no unit left behind in the queue.
-        TLBPF_DCHECK_MSG(batch.groupsDone == batch.merged.size(),
-                         "batch drained with ", batch.groupsDone,
-                         " of ", batch.merged.size(),
-                         " groups resolved");
+        // Drain postcondition: every task resolved (completed or
+        // failed) exactly once and none left behind in the queue.
+        TLBPF_DCHECK_MSG(batch.tasksDone == tasks.size(),
+                         "batch drained with ", batch.tasksDone,
+                         " of ", tasks.size(), " tasks resolved");
         TLBPF_DCHECK(batch.queue.empty() || batch.failed);
         _batch = nullptr;
-        // Any lease still out refers to units the batch already
+        // Any lease still out refers to tasks the batch already
         // resolved (its holder went quiet and was reclaimed past the
         // deadline, or the batch beat it locally).  Drop them so a
         // late result is discarded, not misapplied to a later batch.
@@ -421,7 +361,7 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
         _lastBatch.seconds = std::chrono::duration<double>(
                                  Clock::now() - batch.start)
                                  .count();
-        _lastBatch.cells = plan.jobs.size();
+        _lastBatch.cells = plan.jobs().size();
         _lastBatch.remoteCells = batch.remoteCells;
         _lastBatch.leaseReclaims = batch.reclaims;
         for (const auto &entry : _workers) {
@@ -435,7 +375,7 @@ Dispatcher::runBatch(const ShardPlan &plan, ShardWarmup warmup,
 
     if (batch.failed)
         std::rethrow_exception(batch.error);
-    return batch.merged;
+    return results.take();
 }
 
 } // namespace tlbpf

@@ -5,37 +5,34 @@
  * registered remote workers, with the same determinism contract as a
  * purely local run.
  *
- * Execution model.  One batch (a ShardPlan) is active at a time — the
- * server serializes sweeps across connections.  runBatch() turns the
- * plan's groups into work units (one unit per pre-expansion cell: a
- * singleton job, or the checkpoint-chained shards of one cell run in
- * stream order) and puts them in a shared queue.  Local drain loops —
- * one per engine pool thread — pull units from the back; worker
- * sessions lease units from the front (a block of up to
- * `worker threads` plain cells, or one chain).  Whoever completes a
- * unit folds its shard window counters into the pre-expansion cell
- * result (mergeShardResults) and marks the cell's slot in the shared
- * OrderedEmitter, so the client-facing stream arrives in submission
- * order no matter which side — or which machine — simulated a cell.
+ * Execution model.  One batch (a Plan, see run/plan.hh) is active at
+ * a time — the server serializes sweeps across connections.
+ * runBatch() queues the plan's Tasks — the engine's own single-pass
+ * groups, shard chains and cells.  Local drain loops (one per engine
+ * pool thread) run tasks from the back with runTask(); worker
+ * sessions lease them from the front: a Pass or Chain alone, Cells in
+ * blocks of up to `worker threads` jobs.  Every completed task, local
+ * or remote, goes through the engine's PlanResults, which folds a
+ * sharded cell once its last task lands and emits in submission order
+ * no matter which side — or which machine — simulated a cell.
  *
  * Leases carry a deadline.  A worker refreshes its deadlines with
  * one-way heartbeats; a worker whose connection drops is reclaimed
  * immediately (unregisterWorker), and one that stalls past its
  * deadline is reclaimed by whichever local drain loop notices — its
- * units go back in the queue and the batch always completes.  A
+ * tasks go back in the queue and the batch always completes.  A
  * result arriving for a reclaimed lease is discarded (completeLease
  * returns false), so no cell is ever double-counted.
  *
- * Determinism.  Every unit's result is bit-identical wherever it
+ * Determinism.  Every task's result is bit-identical wherever it
  * runs: cells and counters cross the wire as exact integers, shard
  * windows depend only on (stream, geometry, mechanism), and slots
  * are pre-assigned — so the lease/reclaim interleaving can change
  * *who* computes a cell but never a byte of the ordered stream.
- * With no workers registered at batch start, runBatch() degrades to
- * the engine's own run()/runSharded() paths (including single-pass
- * batching), exactly the pre-dispatch server behaviour.
+ * With no workers registered at batch start, runBatch() is exactly
+ * SweepEngine::run(plan) — the pre-dispatch server behaviour.
  *
- * Only functional cells are leased; timed cells always run locally
+ * Only functional tasks are leased; timed cells always run locally
  * (their TimingConfig carries doubles the integer-exact wire format
  * deliberately does not).
  */
@@ -47,6 +44,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -130,9 +128,6 @@ class Dispatcher
      */
     void failLease(std::uint64_t lease);
 
-    /** True when at least one worker is registered. */
-    bool hasWorkers() const;
-
     Counters counters() const;
     BatchStats lastBatchStats() const;
 
@@ -148,26 +143,16 @@ class Dispatcher
      * failure after the batch drains, like SweepEngine::run.
      */
     std::vector<SweepResult>
-    runBatch(const ShardPlan &plan, ShardWarmup warmup, PassMode mode,
+    runBatch(const Plan &plan,
              const SweepEngine::ResultCallback &on_result);
 
   private:
     using Clock = std::chrono::steady_clock;
 
-    /** One schedulable unit: a whole pre-expansion group. */
-    struct Unit
-    {
-        std::size_t group = 0; ///< index into plan.groupSizes
-        std::size_t first = 0; ///< first index into plan.jobs
-        std::uint32_t count = 1;
-        bool remoteable = false;
-        bool chain = false;
-    };
-
     struct LeaseState
     {
         std::uint64_t worker = 0;
-        std::vector<Unit> units;
+        std::vector<std::size_t> tasks; ///< indices into plan.tasks()
         std::size_t jobCount = 0;
         Clock::time_point granted;
         Clock::time_point deadline;
@@ -175,15 +160,16 @@ class Dispatcher
 
     struct Batch
     {
-        const ShardPlan *plan = nullptr;
-        std::vector<SweepResult> merged; ///< one slot per group
-        std::deque<Unit> queue;
-        std::size_t groupsDone = 0;
+        const Plan *plan = nullptr;
+        PlanResults *results = nullptr;
+        std::deque<std::size_t> queue; ///< task indices
+        /** Per task: timed, or failed by a worker — never leased. */
+        std::vector<char> localOnly;
+        std::size_t tasksDone = 0; ///< completed or failed
         std::size_t finishers = 0; ///< remote completions mid-emit
         bool failed = false;
         std::size_t failIndex = 0; ///< lowest failing plan-job index
         std::exception_ptr error;
-        OrderedEmitter *emitter = nullptr;
         Clock::time_point start;
         std::uint64_t remoteCells = 0;
         std::uint64_t reclaims = 0;
@@ -191,12 +177,13 @@ class Dispatcher
     };
 
     void localDrain(Batch &batch);
-    void runUnitLocal(Batch &batch, const Unit &unit);
-    /** Fold a unit's per-shard results into its group slot + emit. */
-    void finishUnit(Batch &batch, const Unit &unit,
-                    std::vector<SweepResult> results);
+    /** Run task @p t here and resolve it (completed or failed). */
+    void runLocal(Batch &batch, std::size_t t);
     /** Requeue every lease whose deadline passed (under _mutex). */
     void reclaimExpiredLocked(Clock::time_point now);
+    /** Requeue every lease @p stale selects (under _mutex). */
+    void
+    reclaimLocked(const std::function<bool(const LeaseState &)> &stale);
 
     SweepEngine &_engine;
     DispatcherOptions _options;

@@ -8,14 +8,13 @@
  * merely busy; the main thread is the only frame *reader*, so replies
  * never interleave.
  *
- * Chains (the shards of one cell) run sequentially in grant order on
- * one thread, warming each shard from its predecessor's boundary
- * state via the worker's own CheckpointStore — pointed at the same
- * --cache-dir as the server's, it restores boundaries the server (or
- * an earlier worker) already deposited and deposits the ones it
- * crosses.  Plain-cell blocks fan out across the worker engine's
- * pool.  Either way the counters are the engine's own, so a leased
- * cell is bit-identical to a local one.
+ * runLease() lowers each grant back into the server's tasks: a chain
+ * (one cell's shards) is one stream pass, each shard warmed from its
+ * predecessor's snapshot, and with a --cache-dir shared with the
+ * server every boundary lands in the checkpoint store; a single-pass
+ * group is one stream pass for all its mechanisms; a block of cells
+ * fans out across the worker engine's pool.  The counters are the
+ * engine's own, so a leased cell is bit-identical to a local one.
  *
  * A cell the worker cannot run (e.g. a trace path that only exists on
  * the server's filesystem) is answered with a cell_result error frame
@@ -52,6 +51,13 @@ struct DispatchWorkerOptions
     /** Give up after this many failed connects in a row (0 = never). */
     std::uint64_t maxReconnectAttempts = 0;
 };
+
+/**
+ * Run @p grant on @p engine as a worker does (a chain through
+ * makeChainPlan(), anything else single-pass) and answer it: one
+ * result per job, or the error that stopped it.
+ */
+CellResultMsg runLease(SweepEngine &engine, const LeaseGrant &grant);
 
 class DispatchWorker
 {

@@ -773,8 +773,12 @@ registerBuiltins(MechanismRegistry &registry)
         rp.summary = "recency-based prefetching (LRU stack threaded "
                      "through the page table, Saulsbury et al.)";
         rp.aliases = {{"recency", "rp"}};
+        // The recency stack records at most kMaxNeighbors neighbours,
+        // reach per side: a wider reach would parse and then abort at
+        // the first miss.
         rp.params = {MechParam::makeUInt(
-            "reach", "stack neighbours prefetched per side", 1, 1, 8)};
+            "reach", "stack neighbours prefetched per side", 1, 1,
+            RecencyStack::kMaxNeighbors / 2)};
         rp.build = [](const MechanismSpec &spec, PageTable &pt) {
             return std::unique_ptr<Prefetcher>(
                 std::make_unique<RecencyPrefetcher>(

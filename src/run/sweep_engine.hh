@@ -1,69 +1,42 @@
 /**
  * @file
- * Deterministic multi-threaded executor for batches of SweepJobs.
+ * Deterministic multi-threaded executor for lowered sweep batches.
  *
- * The engine's contract: results come back in *submission order* and
- * are bit-identical to a serial run regardless of thread count.  That
- * holds because every job owns its entire simulation state (stream,
- * TLB, buffer, prefetcher, RNG) and writes only to its own result
- * slot; threads share nothing mutable.  `--threads 1` constructs a
- * pool with no workers and runs the whole batch inline.
+ * SweepEngine::run(const Plan &) is the one executor: it hands every
+ * Task of a Plan (run/plan.hh) to the pool's work-stealing scheduler
+ * with the task's cost weight, runs it with runTask() and completes it
+ * through PlanResults, as the dispatcher does for leased tasks.
+ * PassMode and ShardWarmup only choose how makePlan() lowers a batch.
  *
- * Scheduling: cells are submitted to the pool's work-stealing
- * scheduler (per-worker deques, randomized stealing) with a
- * per-task cost estimate — SweepJob::costWeight() scaled by the
- * task's shape (a checkpoint chain covers its whole cell once, a
- * single-pass group multiplies by its width) — so a batch that mixes
- * 50x shard chains with trivial cells starts from a balanced
- * longest-processing-time placement and stealing mops up the
- * estimate's error.  Neither the placement nor any steal
- * interleaving can change a result byte: workers still write only
- * their pre-assigned result slots and the lowest-submission-index
- * exception still wins.  lastBatchStats() exposes the pool's
- * per-worker utilization telemetry for the most recent batch.
+ * The contract: results come back in *submission order*, one per
+ * pre-expansion cell, bit-identical to a serial, unsharded,
+ * per-mechanism run regardless of thread count or lowering.  Every
+ * task owns its entire simulation state (stream, TLB, buffer,
+ * prefetchers, RNG) and writes only its pre-assigned result slots, so
+ * neither the LPT placement nor any steal can change a result byte.
+ * `--threads 1` runs the whole batch inline.  lastBatchStats() exposes
+ * the pool's per-worker telemetry for the most recent batch.
  *
  * A job that cannot run (zero reference budget, unknown application
  * model, unreadable trace file, malformed mix, a sharded timing cell)
  * throws std::invalid_argument; the engine propagates the
- * lowest-submission-index exception to the caller of run() after the
- * batch drains.  Workload resolution inside a worker never calls the
- * fatal-exit registry path, so a bad workload surfaces as a clean
- * batch failure, not a process exit from mid-pool.
- *
- * Sharding: expandShards() splits each functional cell into N
- * per-shard jobs (shard k records only its window of the counters),
- * and mergeShardResults() is the reduce step that folds the per-shard
- * counter deltas back into one result per original cell —
- * bit-identical to the unsharded run.  How a shard reconstructs the
- * simulator state at its window start is the warm-up mode:
- *
- *   ShardWarmup::Replay      every shard simulates the whole prefix
- *                            [0, begin_k) itself.  Shards are fully
- *                            independent (best wall-clock on many
- *                            cores) but total CPU grows ~(N+1)/2x.
- *   ShardWarmup::Checkpoint  shard k restores shard k-1's
- *                            end-of-window SimState snapshot, so the
- *                            chain does ~1x total work plus snapshot
- *                            cost.  The chain serialises the shards
- *                            of one cell (different cells still run
- *                            concurrently); counters are bit-identical
- *                            to replay mode and to the unsharded run.
- *
- * A mechanism that has not opted into checkpointing
- * (Prefetcher::checkpointable() == false) silently falls back to
- * replay warm-up for its cells, preserving correctness for
- * open-registry mechanisms that never implemented the hooks.
+ * lowest-index failure to the caller of run() after the batch drains.
+ * Workload resolution inside a worker never calls the fatal-exit
+ * registry path, so a bad workload surfaces as a clean batch failure,
+ * not a process exit from mid-pool.
  */
 
 #ifndef TLBPF_RUN_SWEEP_ENGINE_HH
 #define TLBPF_RUN_SWEEP_ENGINE_HH
 
+#include <atomic>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "run/job.hh"
+#include "run/plan.hh"
 #include "util/check.hh"
 #include "util/thread_pool.hh"
 
@@ -144,114 +117,25 @@ SweepResult runSweepJob(const SweepJob &job);
  */
 SweepResult runSweepJob(const SweepJob &job, CheckpointHook *hook);
 
-/** How sharded cells reconstruct simulator state at a window start. */
-enum class ShardWarmup
-{
-    Replay,    ///< each shard replays its stream prefix (independent)
-    Checkpoint ///< shards chain end-of-window snapshots (~1x work)
-};
-
 /**
- * How a batch with several mechanisms over the same stream executes.
- *
- *   PassMode::PerMechanism  every cell builds and drains its own
- *                           stream (the historical behaviour; maximal
- *                           cross-cell parallelism).
- *   PassMode::SinglePass    consecutive functional cells that share a
- *                           workload, reference budget and geometry
- *                           run as ONE stream pass through one TLB
- *                           feeding one back end per mechanism
- *                           (simulateMany), so the stream is
- *                           generated/decoded and the TLB simulated
- *                           once instead of N times.  Results are
- *                           bit-identical to PerMechanism in the
- *                           same submission order; cells that cannot
- *                           batch (timing mode, sharded workloads,
- *                           singletons) fall through to runSweepJob
- *                           unchanged.
- */
-enum class PassMode
-{
-    PerMechanism,
-    SinglePass
-};
-
-/** Canonical flag value: "per-mechanism" or "single-pass". */
-const char *passModeName(PassMode mode);
-
-/**
- * Parse a pass-mode value ("per-mechanism"/"single-pass"); throws
- * std::invalid_argument on anything else.
- */
-PassMode parsePassMode(const std::string &text);
-
-/** Canonical flag value: "replay" or "checkpoint". */
-const char *shardWarmupName(ShardWarmup warmup);
-
-/**
- * Parse a --shard-warmup value ("replay"/"checkpoint"); throws
- * std::invalid_argument on anything else.
- */
-ShardWarmup parseShardWarmup(const std::string &text);
-
-/**
- * The expanded batch of a sharded run plus the explicit grouping the
- * reduce step folds.  groupSizes has one entry per pre-expansion job:
- * how many consecutive entries of jobs belong to it (shards of a
- * fanned-out cell, or 1 for a job that passed through).  Groups are
- * recorded explicitly rather than inferred from job shapes, so
- * caller-submitted `spec#k/N` cells are never confused with the
- * expansion of a neighbouring cell.
- */
-struct ShardPlan
-{
-    std::vector<SweepJob> jobs;
-    std::vector<std::uint32_t> groupSizes;
-};
-
-/**
- * Map phase of a sharded run: expand every unsharded functional job
- * into per-shard jobs (consecutive, shard order); timing cells and
- * jobs that already name an explicit shard pass through unchanged as
- * groups of one.  @p shards <= 1 keeps every job as-is.  The fan-out
- * of one job is clamped to its reference budget, so the shard windows
- * always partition [0, refs) exactly with no empty shard — asking for
- * more shards than references yields refs single-reference windows,
- * not empty ones.
- */
-ShardPlan expandShards(const std::vector<SweepJob> &jobs,
-                       std::uint32_t shards);
-
-/**
- * Reduce phase: fold the results of @p plan.jobs back into one
- * result per pre-expansion job by summing the counter windows of
- * each plan group; a merged result carries the unsharded workload
- * label.  Jobs in singleton groups (including explicit `spec#k/N`
- * cells a caller submitted to run one slice of a distributed sweep)
- * pass through unchanged.  Throws std::invalid_argument if
+ * Reduce phase for a caller that ran @p plan.jobs itself: one result
+ * per plan group, the shards of a cell folded bit-identically to the
+ * unsharded run and groups of one (explicit `spec#k/N` cells
+ * included) passed through.  Throws std::invalid_argument if
  * @p results does not match the plan.
  */
 std::vector<SweepResult>
 mergeShardResults(const ShardPlan &plan,
                   const std::vector<SweepResult> &results);
 
-/**
- * Number of independently schedulable tasks runSharded() will create
- * for @p plan: the plan size under replay warm-up, one task per
- * chained group (plus the replay-fallback singles) under checkpoint
- * warm-up.  Callers sizing a worker pool can clamp to this instead of
- * over-provisioning threads that would only park.
- */
-std::size_t shardTaskCount(const ShardPlan &plan, ShardWarmup warmup);
-
 /** Multi-threaded batch runner with ordered, deterministic results. */
 class SweepEngine
 {
   public:
     /**
-     * Incremental result delivery: invoked once per cell *in
-     * submission order* while the batch is still running, as soon as
-     * the cell and every cell before it have completed — the
+     * Incremental result delivery: invoked once per pre-expansion
+     * cell *in submission order* while the batch is still running, as
+     * soon as the cell and every cell before it have completed — the
      * streaming pipe the sweep service feeds per-cell frames from.
      * Invocations come from worker threads but are serialized (never
      * concurrent with each other), and the result reference is the
@@ -268,60 +152,27 @@ class SweepEngine
     unsigned threads() const { return _pool.threadCount(); }
 
     /**
-     * Run every job and return results in submission order.  Blocks
-     * until the batch drains; rethrows the lowest-index job failure.
+     * Execute every task of @p plan; one result per emit group, in
+     * submission order, also streamed through @p on_result (if set).
+     * Rethrows the lowest-index failure after the batch drains.
      */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs);
+    std::vector<SweepResult> run(const Plan &plan,
+                                 const ResultCallback &on_result = {});
+
+    /** run(makePlan(jobs, 1, ShardWarmup::Checkpoint, mode), ...). */
+    std::vector<SweepResult>
+    run(const std::vector<SweepJob> &jobs,
+        PassMode mode = PassMode::PerMechanism,
+        const ResultCallback &on_result = {});
 
     /**
-     * run() with an explicit pass mode.  PassMode::SinglePass batches
-     * consecutive same-stream functional cells into one stream pass
-     * each (see PassMode); results are bit-identical to
-     * PassMode::PerMechanism.
-     */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs,
-                                 PassMode mode);
-
-    /**
-     * run() that additionally streams each result through
-     * @p on_result in submission order as the batch progresses; the
-     * returned vector is unchanged.  An empty callback degrades to
-     * plain run().
-     */
-    std::vector<SweepResult> run(const std::vector<SweepJob> &jobs,
-                                 PassMode mode,
-                                 const ResultCallback &on_result);
-
-    /**
-     * Map-reduce over shards: expandShards -> execute -> merge;
-     * returns one merged result per entry of @p jobs, bit-identical
-     * to run() for any shard count and either warm-up mode.  Under
-     * ShardWarmup::Checkpoint (the default) each cell's shards run as
-     * one chained task — shard k warms up by restoring shard k-1's
-     * end-of-window snapshot — so the whole fan-out costs ~1x the
-     * unsharded work instead of replay's ~(N+1)/2x.
+     * run(makePlan(jobs, shards, warmup, PassMode::PerMechanism)): one
+     * result per entry of @p jobs, bit-identical to run() for any
+     * shard count and either warm-up mode.
      */
     std::vector<SweepResult>
     runSharded(const std::vector<SweepJob> &jobs, std::uint32_t shards,
                ShardWarmup warmup = ShardWarmup::Checkpoint);
-
-    /**
-     * runSharded() over a plan the caller already expanded (e.g. to
-     * size this engine's pool via shardTaskCount() without paying
-     * for a second expansion).
-     */
-    std::vector<SweepResult>
-    runSharded(const ShardPlan &plan,
-               ShardWarmup warmup = ShardWarmup::Checkpoint);
-
-    /**
-     * runSharded() that streams each *merged* (pre-expansion) result
-     * through @p on_result in pre-expansion submission order as its
-     * shard group completes; the returned vector is unchanged.
-     */
-    std::vector<SweepResult>
-    runSharded(const ShardPlan &plan, ShardWarmup warmup,
-               const ResultCallback &on_result);
 
     /**
      * Attach a persistent-checkpoint store consulted by every
@@ -422,6 +273,45 @@ class OrderedEmitter
     std::vector<char> _done;
     std::mutex _mutex;
     std::size_t _frontier = 0;
+};
+
+/**
+ * The one completion path of a plan run, shared by the engine and the
+ * dispatcher: result slots, a countdown per fanned-out cell that folds
+ * it on whichever thread lands its last shard (acq_rel, so every shard
+ * write happens-before the fold), and the OrderedEmitter.
+ */
+class PlanResults
+{
+  public:
+    PlanResults(const Plan &plan,
+                const SweepEngine::ResultCallback &on_result);
+
+    /** Where @p task writes its task.count results. */
+    SweepResult *slots(const Task &task);
+
+    /** @p task wrote its slots: fold and emit what it finished.  Any
+     *  thread; each task completes at most once. */
+    void complete(const Task &task);
+
+    /** One result per emit group; once every task has completed. */
+    std::vector<SweepResult> take() { return std::move(_results); }
+
+  private:
+    /** A fanned-out cell: its first job and its shards outstanding. */
+    struct Fold
+    {
+        std::size_t first = 0;
+        std::atomic<std::uint32_t> remaining{0};
+    };
+
+    const Plan &_plan;
+    std::vector<SweepResult> _results; ///< one per emit group
+    /** Per job / per group, only when some group folds shards. */
+    std::vector<SweepResult> _shards;
+    std::vector<Fold> _folds;
+    std::vector<std::atomic<bool>> _jobDone; ///< checking builds only
+    OrderedEmitter _emitter;
 };
 
 } // namespace tlbpf

@@ -354,19 +354,13 @@ SweepServer::handleSweep(int fd, const JsonValue &message)
             ready[i] = 1;
             emitReady();
         };
-        ShardPlan plan;
-        if (request.shards > 1 &&
-            request.mode == JobMode::Functional) {
-            plan = expandShards(pending, request.shards);
-        } else {
-            plan.jobs = pending;
-            plan.groupSizes.assign(pending.size(), 1);
-        }
         // With no workers registered this is exactly the engine's
-        // own run()/runSharded() path; with workers, cells are
-        // leased out and reintegrated in the same stream order.
-        _dispatcher.runBatch(plan, request.shardWarmup,
-                             request.passMode, on_result);
+        // own run(plan); with workers, the same tasks are leased out
+        // and reintegrated in the same stream order.
+        _dispatcher.runBatch(makePlan(pending, request.shards,
+                                      request.shardWarmup,
+                                      request.passMode),
+                             on_result);
     }
 
     evictStores();

@@ -349,13 +349,13 @@ TEST(ParallelDeterminism, SkewedShardChainBatchIsThreadCountInvariant)
     }
     for (ShardWarmup warmup :
          {ShardWarmup::Replay, ShardWarmup::Checkpoint}) {
-        std::string serial = csvBytes(
-            display, SweepEngine(1).runSharded(plan, warmup));
+        Plan tasks = makePlan(plan, warmup, PassMode::PerMechanism);
+        std::string serial =
+            csvBytes(display, SweepEngine(1).run(tasks));
         EXPECT_FALSE(serial.empty());
         for (unsigned threads : {4u, 8u})
             EXPECT_EQ(serial,
-                      csvBytes(display, SweepEngine(threads)
-                                            .runSharded(plan, warmup)))
+                      csvBytes(display, SweepEngine(threads).run(tasks)))
                 << shardWarmupName(warmup) << " warm-up at "
                 << threads << " threads";
     }

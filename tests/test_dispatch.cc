@@ -4,12 +4,14 @@
  * (strict encode/decode), the Dispatcher's lease lifecycle under
  * failure (dead worker mid-lease, expired lease discarded without
  * double-counting, heartbeats keeping a slow-but-alive worker's work,
- * worker-side errors requeueing local-only, chains granted alone and
- * merged bit-identically), the server's worker sessions (malformed
- * cell_result drops only that worker; --max-clients sheds with an
- * error frame; concurrent clients account a shared cache exactly; a
- * worker fleet produces byte-identical sweeps), and the disk-store
- * eviction sweep (TTL, LRU budget, touch-on-read recency).
+ * worker-side errors requeueing local-only, chains and single-pass
+ * groups granted alone and merged bit-identically), one byte-identity
+ * matrix over every lowering of a mixed batch and every fleet size,
+ * the server's worker sessions (malformed cell_result drops only that
+ * worker; --max-clients sheds with an error frame; concurrent clients
+ * account a shared cache exactly; a worker fleet produces
+ * byte-identical sweeps), and the disk-store eviction sweep (TTL, LRU
+ * budget, touch-on-read recency).
  */
 
 #include <gtest/gtest.h>
@@ -18,7 +20,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <fcntl.h>
+#include <memory>
 #include <netinet/in.h>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <sys/stat.h>
@@ -29,6 +33,7 @@
 #include "dispatch/dispatch_protocol.hh"
 #include "dispatch/dispatcher.hh"
 #include "dispatch/worker.hh"
+#include "run/result_sink.hh"
 #include "run/sweep_engine.hh"
 #include "service/client.hh"
 #include "service/json.hh"
@@ -87,13 +92,11 @@ functionalGrid(const std::vector<const char *> &apps,
     return jobs;
 }
 
-ShardPlan
-singletonPlan(std::vector<SweepJob> jobs)
+/** One Cell task per job; borrows @p jobs. */
+Plan
+singletonPlan(const std::vector<SweepJob> &jobs)
 {
-    ShardPlan plan;
-    plan.groupSizes.assign(jobs.size(), 1);
-    plan.jobs = std::move(jobs);
-    return plan;
+    return makePlan(jobs, 1, ShardWarmup::Replay, PassMode::PerMechanism);
 }
 
 /** Register + promote a raw socket to a worker session by hand. */
@@ -275,7 +278,7 @@ TEST(Dispatcher, DeadWorkerMidLeaseIsReclaimedAndBatchCompletes)
 
     std::vector<SweepJob> jobs = functionalGrid(
         {"gcc", "mcf", "swim", "art"}, {"rp", "dp"}, kSlowRefs);
-    ShardPlan plan = singletonPlan(jobs);
+    Plan plan = singletonPlan(jobs);
 
     std::uint64_t worker = dispatcher.registerWorker(2);
     std::atomic<bool> batch_done{false};
@@ -283,7 +286,7 @@ TEST(Dispatcher, DeadWorkerMidLeaseIsReclaimedAndBatchCompletes)
     std::vector<SweepResult> results;
     std::thread batch([&] {
         results = dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             [&](std::size_t i, const SweepResult &) {
                 order.push_back(i);
             });
@@ -323,7 +326,7 @@ TEST(Dispatcher, ExpiredLeaseResultIsDiscardedNotDoubleCounted)
 
     std::vector<SweepJob> jobs =
         functionalGrid({"gcc", "mcf"}, {"rp", "dp"}, kSlowRefs);
-    ShardPlan plan = singletonPlan(jobs);
+    Plan plan = singletonPlan(jobs);
 
     std::uint64_t worker = dispatcher.registerWorker(1);
     std::atomic<bool> batch_done{false};
@@ -331,7 +334,7 @@ TEST(Dispatcher, ExpiredLeaseResultIsDiscardedNotDoubleCounted)
     std::vector<SweepResult> results;
     std::thread batch([&] {
         results = dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             [&](std::size_t, const SweepResult &) {
                 streamed.fetch_add(1);
             });
@@ -431,14 +434,14 @@ TEST(Dispatcher, ReclaimedLeaseCompletionIsDiscardedNotDoubleEmitted)
 
     std::vector<SweepJob> jobs =
         functionalGrid({"gcc", "mcf"}, {"rp", "dp"}, kSlowRefs);
-    ShardPlan plan = singletonPlan(jobs);
+    Plan plan = singletonPlan(jobs);
 
     std::uint64_t worker = dispatcher.registerWorker(1);
     std::atomic<bool> batch_done{false};
     std::atomic<std::uint64_t> streamed{0};
     std::thread batch([&] {
         (void)dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             [&](std::size_t, const SweepResult &) {
                 streamed.fetch_add(1);
             });
@@ -468,13 +471,13 @@ TEST(Dispatcher, WrongSizedPayloadOnALiveLeaseIsRejected)
 
     std::vector<SweepJob> jobs =
         functionalGrid({"gcc", "mcf"}, {"rp", "dp"}, kSlowRefs);
-    ShardPlan plan = singletonPlan(jobs);
+    Plan plan = singletonPlan(jobs);
 
     std::uint64_t worker = dispatcher.registerWorker(1);
     std::atomic<bool> batch_done{false};
     std::thread batch([&] {
         (void)dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             SweepEngine::ResultCallback());
         batch_done.store(true);
     });
@@ -504,14 +507,14 @@ TEST(Dispatcher, HeartbeatKeepsASlowButAliveWorkersLease)
 
     std::vector<SweepJob> jobs =
         functionalGrid({"gcc", "mcf"}, {"rp", "dp"}, kSlowRefs);
-    ShardPlan plan = singletonPlan(jobs);
+    Plan plan = singletonPlan(jobs);
 
     std::uint64_t worker = dispatcher.registerWorker(2);
     std::atomic<bool> batch_done{false};
     std::vector<SweepResult> results;
     std::thread batch([&] {
         results = dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             [](std::size_t, const SweepResult &) {});
         batch_done.store(true);
     });
@@ -566,14 +569,14 @@ TEST(Dispatcher, FailedLeaseRerunsLocallyOnly)
 
     std::vector<SweepJob> jobs =
         functionalGrid({"gcc", "mcf"}, {"rp", "dp"}, kSlowRefs);
-    ShardPlan plan = singletonPlan(jobs);
+    Plan plan = singletonPlan(jobs);
 
     std::uint64_t worker = dispatcher.registerWorker(1);
     std::atomic<bool> batch_done{false};
     std::vector<SweepResult> results;
     std::thread batch([&] {
         results = dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             [](std::size_t, const SweepResult &) {});
         batch_done.store(true);
     });
@@ -600,14 +603,15 @@ TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
 
     std::vector<SweepJob> jobs =
         functionalGrid({"gcc", "mcf"}, {"rp"}, kSlowRefs);
-    ShardPlan plan = expandShards(jobs, 4);
+    Plan plan =
+        makePlan(jobs, 4, ShardWarmup::Checkpoint, PassMode::PerMechanism);
 
     std::uint64_t worker = dispatcher.registerWorker(8);
     std::atomic<bool> batch_done{false};
     std::vector<SweepResult> results;
     std::thread batch([&] {
         results = dispatcher.runBatch(
-            plan, ShardWarmup::Replay, PassMode::PerMechanism,
+            plan,
             [](std::size_t, const SweepResult &) {});
         batch_done.store(true);
     });
@@ -635,6 +639,243 @@ TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
         EXPECT_EQ(results[i].functional, direct[i].functional)
             << "cell " << i;
     dispatcher.unregisterWorker(worker);
+}
+
+/**
+ * A single-pass group travels as one chain:false lease even to a
+ * one-thread worker: it is one task, so the worker drains the stream
+ * once for every mechanism instead of leasing a cell at a time.
+ */
+TEST(Dispatcher, SinglePassGroupIsGrantedWholeToAOneThreadWorker)
+{
+    SweepEngine engine(1);
+    DispatcherOptions options;
+    options.leaseTimeoutMs = 60000;
+    Dispatcher dispatcher(engine, options);
+
+    std::vector<SweepJob> jobs =
+        functionalGrid({"gcc", "mcf", "swim"},
+                       {"rp", "dp", "DP,256,D", "ASP,256,D"}, kSlowRefs);
+    Plan plan = makePlan(jobs, 1, ShardWarmup::Checkpoint,
+                         PassMode::SinglePass);
+
+    std::uint64_t worker = dispatcher.registerWorker(1);
+    std::atomic<bool> batch_done{false};
+    std::vector<SweepResult> results;
+    std::thread batch([&] {
+        results = dispatcher.runBatch(
+            plan, [](std::size_t, const SweepResult &) {});
+        batch_done.store(true);
+    });
+
+    LeaseGrant grant;
+    ASSERT_TRUE(leaseSoon(dispatcher, worker, grant, batch_done));
+    EXPECT_FALSE(grant.chain);
+    ASSERT_EQ(grant.jobs.size(), 4u);
+    for (const SweepJob &job : grant.jobs)
+        EXPECT_EQ(job.workload.label(), grant.jobs[0].workload.label());
+
+    SweepEngine mine(1);
+    CellResultMsg answer = runLease(mine, grant);
+    ASSERT_FALSE(answer.failed()) << answer.error;
+    EXPECT_TRUE(dispatcher.completeLease(grant.lease,
+                                         std::move(answer.results)));
+    batch.join();
+    EXPECT_EQ(dispatcher.lastBatchStats().remoteCells, 4u);
+
+    std::vector<SweepResult> direct = engine.run(jobs);
+    ASSERT_EQ(results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+        EXPECT_EQ(results[i].functional, direct[i].functional)
+            << "cell " << i;
+    dispatcher.unregisterWorker(worker);
+}
+
+// ------------------------------------- one plan, every execution path
+
+/**
+ * An open-registry mechanism that never opts into checkpointing, so a
+ * checkpoint-mode plan lowers its shards to replay Cells instead.
+ */
+class NextPagePrefetcher : public Prefetcher
+{
+  public:
+    void
+    onMiss(const TlbMiss &miss, PrefetchDecision &decision) override
+    {
+        decision.targets.push_back(miss.vpn + 1);
+    }
+    void reset() override {}
+    std::string name() const override { return "NP"; }
+    std::string label() const override { return "nextpage"; }
+    HardwareProfile hardwareProfile() const override { return {}; }
+};
+
+void
+registerNextPage()
+{
+    static const bool registered = [] {
+        MechanismEntry entry;
+        entry.name = "nextpage";
+        entry.shortName = "NP";
+        entry.summary = "next-page prefetch without checkpoint hooks";
+        entry.build = [](const MechanismSpec &, PageTable &) {
+            return std::unique_ptr<Prefetcher>(
+                std::make_unique<NextPagePrefetcher>());
+        };
+        MechanismRegistry::instance().add(entry);
+        return true;
+    }();
+    (void)registered;
+}
+
+/**
+ * Every workload kind and task shape in one batch: same-stream app,
+ * mix and trace runs (Pass tasks), the composite hybrid, the
+ * uncheckpointable open-registry mechanism, a timed cell (never
+ * leased) and explicit `spec#k/N` cells (never fanned out again).
+ */
+std::vector<SweepJob>
+planMatrixBatch()
+{
+    registerNextPage();
+    std::vector<SweepJob> jobs;
+    auto add = [&](const std::string &workload, const char *mech) {
+        jobs.push_back(SweepJob::functional(WorkloadSpec::parse(workload),
+                                            MechanismSpec::parse(mech),
+                                            kRefs));
+    };
+    for (const char *mech :
+         {"DP,256,D", "rp", "hybrid(dp+sp)", "nextpage"})
+        add("mcf", mech);
+    add("mix:mcf+gcc@1k", "dp");
+    add("mix:mcf+gcc@1k", "nextpage");
+    jobs.push_back(SweepJob::timed(WorkloadSpec::app("ammp"),
+                                   MechanismSpec::parse("dp"), kRefs));
+    std::string trace =
+        "trace:" + std::string(TLBPF_TEST_DATA_DIR) + "/sample.tpf";
+    add(trace, "rp");
+    add(trace, "ASP,256,D");
+    add("gcc#1/4", "dp");
+    add("gcc#2/4", "nextpage");
+    add("swim", "sp");
+    return jobs;
+}
+
+/** Every counter of every result, rendered as CSV. */
+std::string
+planMatrixCsv(const std::vector<SweepResult> &results)
+{
+    std::ostringstream os;
+    CsvSink csv(os);
+    csv.header({"workload", "mechanism", "refs", "misses", "pb_hits",
+                "demand", "issued", "suppressed", "state_ops",
+                "evicted_unused", "footprint", "switches", "cycles"});
+    for (const SweepResult &r : results) {
+        const SimResult &c = r.functional;
+        std::vector<std::string> row = {r.workload, r.mechanism};
+        for (std::uint64_t v :
+             {c.refs, c.misses, c.pbHits, c.demandFetches,
+              c.prefetchesIssued, c.prefetchesSuppressed, c.stateOps,
+              c.pbEvictedUnused, c.footprintPages, c.contextSwitches,
+              r.timed.cycles})
+            row.push_back(std::to_string(v));
+        csv.row(row);
+    }
+    csv.finish();
+    return os.str();
+}
+
+/**
+ * In-process workers: each registers, then leases and answers with
+ * the worker binary's own runner (runLease) until destroyed.  Worker
+ * k claims k + 1 threads, so the second one gets two-cell blocks.
+ */
+class Pullers
+{
+  public:
+    Pullers(Dispatcher &dispatcher, unsigned count)
+        : _dispatcher(dispatcher)
+    {
+        for (unsigned k = 0; k < count; ++k)
+            _threads.emplace_back([this, k] { pull(k + 1); });
+        while (_dispatcher.counters().workers != count)
+            std::this_thread::yield();
+    }
+
+    ~Pullers()
+    {
+        _done.store(true);
+        for (std::thread &thread : _threads)
+            thread.join();
+    }
+
+  private:
+    void
+    pull(unsigned threads)
+    {
+        std::uint64_t id = _dispatcher.registerWorker(threads);
+        SweepEngine engine(1);
+        LeaseGrant grant;
+        while (!_done.load()) {
+            if (!_dispatcher.lease(id, grant)) {
+                std::this_thread::yield();
+                continue;
+            }
+            CellResultMsg answer = runLease(engine, grant);
+            if (answer.failed())
+                _dispatcher.failLease(grant.lease);
+            else
+                _dispatcher.completeLease(grant.lease,
+                                          std::move(answer.results));
+        }
+        _dispatcher.unregisterWorker(id);
+    }
+
+    Dispatcher &_dispatcher;
+    std::atomic<bool> _done{false};
+    std::vector<std::thread> _threads;
+};
+
+/**
+ * The byte-identity contract over plans: every PassMode x ShardWarmup
+ * x shards {1, 4, 8} lowering of the mixed batch, on 1 and 4 engine
+ * threads and through a dispatcher with 0, 1 and 2 pullers, gives the
+ * CSV bytes of the serial, unsharded, per-mechanism run.
+ */
+TEST(PlanMatrix, EveryLoweringAndFleetGivesTheSameCsvBytes)
+{
+    std::vector<SweepJob> jobs = planMatrixBatch();
+    std::string want =
+        planMatrixCsv(SweepEngine(1).run(jobs, PassMode::PerMechanism));
+    ASSERT_FALSE(want.empty());
+    std::uint64_t remote = 0;
+
+    for (PassMode mode : {PassMode::PerMechanism, PassMode::SinglePass})
+        for (ShardWarmup warmup :
+             {ShardWarmup::Replay, ShardWarmup::Checkpoint})
+            for (std::uint32_t shards : {1u, 4u, 8u}) {
+                Plan plan = makePlan(jobs, shards, warmup, mode);
+                std::string variant =
+                    std::string(passModeName(mode)) + " " +
+                    shardWarmupName(warmup) + " x" +
+                    std::to_string(shards);
+                for (unsigned threads : {1u, 4u})
+                    EXPECT_EQ(planMatrixCsv(SweepEngine(threads).run(plan)),
+                              want)
+                        << variant << " at " << threads << " threads";
+                for (unsigned pullers : {0u, 1u, 2u}) {
+                    SweepEngine local(1);
+                    Dispatcher dispatcher(local);
+                    Pullers fleet(dispatcher, pullers);
+                    EXPECT_EQ(planMatrixCsv(dispatcher.runBatch(
+                                  plan, SweepEngine::ResultCallback())),
+                              want)
+                        << variant << " with " << pullers << " pullers";
+                    remote += dispatcher.lastBatchStats().remoteCells;
+                }
+            }
+    EXPECT_GT(remote, 0u); // the pullers really carried work
 }
 
 // ------------------------------------------------ server worker verbs

@@ -5,19 +5,24 @@
  * schema's error paths (unknown mechanisms and keys, out-of-range
  * values, malformed composite child lists — all actionable
  * std::invalid_argument, with the fatal-exit conversion at the bench
- * boundary), registry openness through the public add() API, and the
- * hybrid combinator end to end on the SweepEngine.
+ * boundary), registry openness through the public add() API, every
+ * entry at its schema bounds (runs or throws, never aborts — in
+ * process and over the wire), and the hybrid combinator end to end on
+ * the SweepEngine.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "mem/page_table.hh"
 #include "prefetch/hybrid.hh"
 #include "prefetch/mech_spec.hh"
 #include "run/sweep_engine.hh"
+#include "service/client.hh"
+#include "service/server.hh"
 #include "sim/experiment.hh"
 
 namespace tlbpf
@@ -49,7 +54,7 @@ TEST(MechSpecRoundTrip, CanonicalRoundTrips)
 {
     for (const char *text :
          {"none", "sp", "sp(degree=2)", "sp(adaptive)", "rp",
-          "rp(reach=4)", "dp", "dp(rows=512,assoc=4w)",
+          "rp(reach=2)", "dp", "dp(rows=512,assoc=4w)",
           "mp(rows=64,slots=4)", "asp(rows=32)", "hybrid(dp+sp)",
           "hybrid(dp(rows=64)+rp+sp(adaptive))"}) {
         MechanismSpec spec = MechanismSpec::parse(text);
@@ -308,6 +313,101 @@ TEST(MechRegistry, PublicAddRegistersAndResolves)
     MechanismEntry nameless;
     EXPECT_THROW(MechanismRegistry::instance().add(nameless),
                  std::invalid_argument);
+}
+
+/**
+ * Every registry entry at each parameter's minimum and maximum (and a
+ * composite at its fewest and most children) either simulates or is
+ * rejected with std::invalid_argument — a parsed mechanism must never
+ * abort the process.  rp(reach=3..8), legend RP,6..RP,16, used to
+ * parse and then panic at the first miss; one such request killed the
+ * server, which must instead answer with an error frame and go on.
+ */
+TEST(MechRegistry, EveryEntryAtItsSchemaBoundsRunsOrThrows)
+{
+    constexpr std::uint64_t kBoundRefs = 4000;
+    const char *const kChildren[] = {"dp",          "sp",
+                                     "asp",         "mp",
+                                     "rp",          "dp(rows=64)",
+                                     "sp(degree=2)", "asp(rows=32)"};
+    std::vector<std::string> texts;
+    for (const MechanismEntry *entry :
+         MechanismRegistry::instance().entries()) {
+        texts.push_back(entry->name);
+        if (entry->composite) {
+            for (std::size_t n :
+                 {entry->minChildren, entry->maxChildren}) {
+                std::string text = entry->name + "(";
+                for (std::size_t k = 0; k < n; ++k)
+                    text += (k ? "+" : "") +
+                            std::string(kChildren[k % 8]);
+                texts.push_back(text + ")");
+            }
+            continue;
+        }
+        for (const MechParam &param : entry->params) {
+            std::vector<std::string> values;
+            if (param.kind == MechParam::Kind::UInt)
+                values = {std::to_string(param.min),
+                          std::to_string(param.max)};
+            else if (param.kind == MechParam::Kind::Choice)
+                values = {param.choices.front(), param.choices.back()};
+            for (const std::string &value : values)
+                texts.push_back(entry->name + "(" + param.key + "=" +
+                                value + ")");
+            if (param.kind == MechParam::Kind::Flag)
+                texts.push_back(entry->name + "(" + param.key + ")");
+        }
+    }
+
+    std::vector<SweepJob> runnable;
+    for (const std::string &text : texts) {
+        SweepJob job;
+        try {
+            job = SweepJob::functional(WorkloadSpec::app("mcf"),
+                                       MechanismSpec::parse(text),
+                                       kBoundRefs);
+            SweepResult cell = runSweepJob(job);
+            EXPECT_EQ(cell.functional.refs, kBoundRefs) << text;
+        } catch (const std::invalid_argument &) {
+            continue; // a clean rejection is the other allowed outcome
+        }
+        runnable.push_back(job);
+    }
+    EXPECT_GT(runnable.size(), texts.size() / 2);
+    // The survivors also run as one single-pass group, where every
+    // mechanism builds over its own private page table.
+    EXPECT_EQ(SweepEngine(1).run(runnable, PassMode::SinglePass).size(),
+              runnable.size());
+
+    // RP,4 is the widest recency reach; one more fails at parse.
+    EXPECT_EQ(MechanismSpec::parse("RP,4").uintParam("reach"), 2u);
+    EXPECT_THROW(MechanismSpec::parse("rp(reach=3)"),
+                 std::invalid_argument);
+    EXPECT_THROW(MechanismSpec::parse("RP,6"), std::invalid_argument);
+
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+    for (const char *bad : {"rp(reach=3)", "RP,6"}) {
+        SweepRequest request;
+        request.workloads = {"app:mcf"};
+        request.mechanisms = {bad};
+        request.refs = kBoundRefs;
+        std::string error;
+        try {
+            ServiceClient("127.0.0.1", server.port()).sweep(request);
+        } catch (const std::runtime_error &e) {
+            error = e.what();
+        }
+        EXPECT_NE(error.find("server error"), std::string::npos)
+            << bad << ": " << error;
+    }
+    ServiceClient("127.0.0.1", server.port()).ping(); // still serving
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
 }
 
 TEST(MechRegistry, ListingsCoverTheBuiltins)

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -570,10 +571,11 @@ TEST(Streaming, ShardedRunStreamsMergedResultsInOrder)
                                             MechanismSpec::parse(mech),
                                             kRefs));
     SweepEngine engine(4);
-    ShardPlan plan = expandShards(jobs, 4);
+    Plan plan =
+        makePlan(jobs, 4, ShardWarmup::Replay, PassMode::PerMechanism);
     std::vector<std::size_t> order;
-    std::vector<SweepResult> merged = engine.runSharded(
-        plan, ShardWarmup::Replay,
+    std::vector<SweepResult> merged = engine.run(
+        plan,
         [&](std::size_t i, const SweepResult &r) {
             order.push_back(i);
             EXPECT_EQ(r.workload, "gcc");
@@ -686,11 +688,22 @@ TEST(Server, EndToEndSweepCacheAndResilience)
         SweepRequest abandoned = request;
         abandoned.workloads = {"app:swim"};
         abandoned.mechanisms = {"RP"};
+        std::uint64_t entries = server.stats().cacheEntries;
         OwnedFd quitter = rawConnect(server.port());
         writeFrame(quitter.fd(), abandoned.encode());
         std::string payload;
         ASSERT_TRUE(readFrame(quitter.fd(), payload)); // batch header
         quitter.close();                               // vanish
+
+        // The header goes out before the abandoned batch takes the
+        // batch lock, so the retry could otherwise win the lock and
+        // simulate the cell itself.  Wait until the abandoned batch
+        // has filled the cache.
+        auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        while (server.stats().cacheEntries == entries &&
+               std::chrono::steady_clock::now() < deadline)
+            ::usleep(1000);
 
         ServiceClient::SweepOutcome retry =
             ServiceClient("127.0.0.1", server.port()).sweep(abandoned);

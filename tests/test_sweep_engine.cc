@@ -4,7 +4,8 @@
  * submission-order results, empty/single batches, exception
  * propagation from failing jobs (including bad workloads surfacing
  * as a clean fatal at the bench boundary instead of an abort from a
- * worker), and the ResultSink renderers.
+ * worker), the lowering of a batch into a Plan of weighted tasks,
+ * and the ResultSink renderers.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <tuple>
 
 #include "run/result_sink.hh"
 #include "run/sweep_engine.hh"
@@ -312,6 +314,94 @@ TEST(SweepEngine, SinglePassMatchesPerMechanismCellForCell)
                 << cell;
         }
     }
+}
+
+/** A task's (kind, first job, job count, emit group, weight). */
+std::vector<std::tuple<TaskKind, std::size_t, std::uint32_t,
+                       std::size_t, std::uint64_t>>
+taskShapes(const Plan &plan)
+{
+    std::vector<std::tuple<TaskKind, std::size_t, std::uint32_t,
+                           std::size_t, std::uint64_t>>
+        shapes;
+    for (const Task &task : plan.tasks())
+        shapes.emplace_back(task.kind, task.first, task.count,
+                            task.group, task.weight);
+    return shapes;
+}
+
+/**
+ * The lowering rules and the LPT weights every execution path
+ * schedules by: a Cell weighs costWeight(), a single-pass group
+ * costWeight() x width, a checkpoint chain its cell's whole budget.
+ * Only adjacent same-stream functional cells share a Pass; a fan-out
+ * is one Chain under checkpoint warm-up and independent shard Cells
+ * under replay; timed and explicit `spec#k/N` cells pass through.
+ */
+TEST(Plan, LowersABatchIntoWeightedTasks)
+{
+    auto cell = [](const char *workload, const char *mech) {
+        return SweepJob::functional(WorkloadSpec::parse(workload),
+                                    MechanismSpec::parse(mech), kRefs);
+    };
+    std::vector<SweepJob> jobs = {
+        cell("gcc", "rp"), cell("gcc", "dp"), cell("gcc", "sp"),
+        cell("mcf", "dp"),
+        SweepJob::timed(WorkloadSpec::app("ammp"),
+                        MechanismSpec::parse("dp"), kRefs),
+        cell("gcc#1/4", "dp")};
+    const std::uint64_t kTimed = jobs[4].costWeight();
+    const std::uint64_t kShard = jobs[5].costWeight();
+    using Shape = std::tuple<TaskKind, std::size_t, std::uint32_t,
+                             std::size_t, std::uint64_t>;
+    constexpr TaskKind kCell = TaskKind::Cell;
+
+    Plan per = makePlan(jobs, 1, ShardWarmup::Checkpoint,
+                        PassMode::PerMechanism);
+    EXPECT_EQ(&per.jobs(), &jobs); // borrowed, not copied
+    EXPECT_EQ(per.groupSizes(), std::vector<std::uint32_t>(6, 1));
+    EXPECT_EQ(taskShapes(per),
+              (std::vector<Shape>{{kCell, 0, 1, 0, kRefs},
+                                  {kCell, 1, 1, 1, kRefs},
+                                  {kCell, 2, 1, 2, kRefs},
+                                  {kCell, 3, 1, 3, kRefs},
+                                  {kCell, 4, 1, 4, kTimed},
+                                  {kCell, 5, 1, 5, kShard}}));
+
+    Plan pass = makePlan(jobs, 1, ShardWarmup::Checkpoint,
+                         PassMode::SinglePass);
+    EXPECT_EQ(taskShapes(pass),
+              (std::vector<Shape>{{TaskKind::Pass, 0, 3, 0, 3 * kRefs},
+                                  {kCell, 3, 1, 3, kRefs},
+                                  {kCell, 4, 1, 4, kTimed},
+                                  {kCell, 5, 1, 5, kShard}}));
+
+    Plan chained = makePlan(jobs, 4, ShardWarmup::Checkpoint,
+                            PassMode::SinglePass);
+    ASSERT_EQ(chained.jobs().size(), 18u);
+    EXPECT_EQ(chained.groupSizes(),
+              (std::vector<std::uint32_t>{4, 4, 4, 4, 1, 1}));
+    std::vector<Shape> chains;
+    for (std::size_t g = 0; g < 4; ++g)
+        chains.emplace_back(TaskKind::Chain, 4 * g, 4, g, kRefs);
+    chains.emplace_back(kCell, 16, 1, 4, kTimed);
+    chains.emplace_back(kCell, 17, 1, 5, kShard);
+    EXPECT_EQ(taskShapes(chained), chains);
+
+    Plan replay = makePlan(jobs, 4, ShardWarmup::Replay,
+                           PassMode::PerMechanism);
+    ASSERT_EQ(replay.tasks().size(), 18u);
+    for (std::size_t i = 0; i < 16; ++i)
+        EXPECT_EQ(taskShapes(replay)[i],
+                  Shape(kCell, i, 1, i / 4,
+                        replay.jobs()[i].costWeight()));
+
+    // A worker's chained lease: one Chain over the shards, each its
+    // own emit group (the dispatcher that granted them folds).
+    std::vector<SweepJob> shards(chained.jobs().begin(),
+                                 chained.jobs().begin() + 4);
+    EXPECT_EQ(taskShapes(makeChainPlan(shards)),
+              (std::vector<Shape>{{TaskKind::Chain, 0, 4, 0, kRefs}}));
 }
 
 TEST(SweepEngine, LastBatchStatsReflectTheMostRecentRun)
