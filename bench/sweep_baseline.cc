@@ -38,13 +38,13 @@
  * and the single-cell inner-loop throughput as refs_per_sec, so
  * hot-loop regressions are visible independently of engine overhead.
  *
- * A fifth phase stresses the work-stealing scheduler with the
- * cost-skew it exists for: a batch mixing 8-shard checkpoint chains
- * (each ~a full cell of work in one task) with a crowd of cells at
- * 1/16th the budget, run on a --threads-worker engine.  The pool's
- * telemetry lands in BENCH_sweep.json (steal_events,
- * worker_busy_fraction_min/max, lpt_imbalance) so scheduler payoff —
- * and regression — is visible in the committed perf trajectory.
+ * A fifth phase stresses the pool's LPT hand-out with the cost skew
+ * it exists for: a batch mixing 8-shard checkpoint chains (each ~a
+ * full cell of work in one task) with a crowd of cells at 1/16th the
+ * budget, run on a --threads-worker engine.  The pool's telemetry
+ * lands in BENCH_sweep.json (skew_seconds,
+ * worker_busy_fraction_min/max) so scheduler payoff — and
+ * regression — is visible in the committed perf trajectory.
  *
  * A sixth phase round-trips the functional grid through an
  * in-process tlbpf-server (loopback TCP, ephemeral port): a cold
@@ -150,7 +150,7 @@ main(int argc, char **argv)
     double serial_s = time_run(1, serial_results);
     double parallel_s = time_run(options.threads, parallel_results);
 
-    // The same batch as a raw loop — no engine, no deques, no
+    // The same batch as a raw loop — no engine, no pool, no
     // telemetry.  The 1-worker engine time over this is the pure
     // per-job scheduling tax, the regression signal a single-core
     // host can still measure.
@@ -302,14 +302,13 @@ main(int argc, char **argv)
     double refs_per_sec =
         static_cast<double>(options.refs) / unsharded_s;
 
-    // Skew-stress the work-stealing scheduler: two full-budget cells
+    // Skew-stress the pool's LPT hand-out: two full-budget cells
     // expanded into 8-shard checkpoint chains (each chain is one
     // ~full-cell task) interleaved with twelve cells at 1/16th the
-    // budget — the 10-50x cost spread the per-worker deques + LPT
-    // seeding exist for.  Runs on the requested --threads so the
-    // multi-core CI runs record real steal traffic; the telemetry
-    // fields are well-defined (and steal_events simply 0) on one
-    // worker too.
+    // budget — the 10-50x cost spread that heaviest-first hand-out
+    // exists for.  Runs on the requested --threads so the multi-core
+    // CI runs record real worker busy fractions; the telemetry fields
+    // are well-defined on one worker too.
     const char *const kCheapApps[] = {"gcc",     "mcf",    "swim",
                                       "galgel",  "ammp",   "applu",
                                       "apsi",    "lucas",  "mgrid",
@@ -526,16 +525,10 @@ main(int argc, char **argv)
                 "per-job overhead\n",
                 scheduler_overhead);
     std::printf("skewed batch (%zu tasks: 2x 8-shard chains + 12 "
-                "cheap cells, %u worker%s): %.3fs, %llu steals, %llu "
-                "backoffs, busy %.2f..%.2f, lpt imbalance %.3f\n",
-                skew_plan.groupSizes.size(), // each chain is 1 task
-                skew_engine.threads(),
+                "cheap cells, %u worker%s): %.3fs, busy %.2f..%.2f\n",
+                skew_tasks.tasks().size(), skew_engine.threads(),
                 skew_engine.threads() == 1 ? "" : "s", skew_s,
-                static_cast<unsigned long long>(sched.stealEvents()),
-                static_cast<unsigned long long>(
-                    sched.backoffEvents()),
-                sched.busyFractionMin(), sched.busyFractionMax(),
-                sched.lptImbalance);
+                sched.busyFractionMin(), sched.busyFractionMax());
     std::printf("service (loopback TCP, %zu cells): cold %.3fs "
                 "(%.1f cells/sec), cached resubmit %.3fs (%.0f "
                 "cells/sec), lifetime hit rate %.2f\n",
@@ -563,9 +556,8 @@ main(int argc, char **argv)
                  "shard_overhead", "registry_builds_per_sec",
                  "refs_per_sec", "per_mechanism_seconds",
                  "single_pass_seconds", "single_pass_speedup",
-                 "skew_seconds", "steal_events", "backoff_events",
-                 "worker_busy_fraction_min",
-                 "worker_busy_fraction_max", "lpt_imbalance",
+                 "skew_seconds", "worker_busy_fraction_min",
+                 "worker_busy_fraction_max",
                  "service_cells_per_sec", "cache_hit_cells_per_sec",
                  "cache_hit_rate", "dispatch_cells_per_sec",
                  "lease_reclaims", "worker_utilization_min",
@@ -595,11 +587,8 @@ main(int argc, char **argv)
               TablePrinter::num(single_pass_s, 4),
               TablePrinter::num(single_pass_speedup, 3),
               TablePrinter::num(skew_s, 4),
-              std::to_string(sched.stealEvents()),
-              std::to_string(sched.backoffEvents()),
               TablePrinter::num(sched.busyFractionMin(), 3),
               TablePrinter::num(sched.busyFractionMax(), 3),
-              TablePrinter::num(sched.lptImbalance, 3),
               TablePrinter::num(service_cps, 2),
               TablePrinter::num(cache_hit_cps, 2),
               TablePrinter::num(cache_hit_rate, 3),

@@ -19,8 +19,8 @@
  * Cells are embarrassingly parallel but wildly uneven in cost — a
  * checkpoint-chained shard task or a single-pass multi-mechanism
  * group can be 10–50x a plain functional cell — so a job also knows
- * its own rough relative cost (costWeight()), which the engine feeds
- * to the thread pool's weighted work-stealing scheduler.
+ * its own rough relative cost (costWeight()), by which the engine's
+ * thread pool hands out the heaviest work first.
  */
 
 #ifndef TLBPF_RUN_JOB_HH
@@ -92,9 +92,9 @@ struct SweepJob
      * cell costs its reference budget; a `spec#k/N` shard costs its
      * stream position at window end (replay warm-up simulates the
      * whole prefix [0, begin) before recording the window); a timed
-     * cell pays the cycle model's constant factor.  Only relative
-     * magnitudes matter — stealing corrects what the estimate gets
-     * wrong — so the estimate stays deliberately crude.
+     * cell pays the cycle model's constant factor.  Only the order of
+     * the weights matters — a misjudged task merely starts later than
+     * it should — so the estimate stays deliberately crude.
      */
     std::uint64_t
     costWeight() const

@@ -126,7 +126,7 @@ Plan::lower(ShardWarmup warmup, PassMode mode)
             mechanismCheckpointable(job)) {
             // A chain simulates its cell's stream exactly once, so it
             // weighs the whole budget: typically 10-50x the cells it
-            // shares a batch with, which the LPT placement must see.
+            // shares a batch with, so the pool must start it first.
             _tasks.push_back(Task{TaskKind::Chain, first, sizes[g], g,
                                   std::max<std::uint64_t>(job.refs, 1)});
             continue;
@@ -213,24 +213,30 @@ runPass(const std::vector<SweepJob> &jobs, const Task &task,
 }
 
 /**
- * Run one cell's shards as a checkpoint chain: a single stream pass
- * where shard k's warm-up is the restore of shard k-1's end-of-window
- * snapshot.  Per-shard results are identical to what replay Cells
- * would produce (same labels, same counter windows), so the fold
- * cannot tell the lowerings apart.  A non-null @p hook additionally
- * receives every window-boundary state the chain passes through, so a
- * persistent store warms future explicit-shard requests for the cell.
+ * Run one cell's shards as a chain: one simulator takes a single pass
+ * over the stream and records each shard's window in turn, so shard k
+ * starts warm from where shard k-1 stopped.  Per-shard results are
+ * identical to what replay Cells would produce (same labels, same
+ * counter windows), so the fold cannot tell the lowerings apart.  A
+ * non-null @p hook additionally receives the snapshot at every window
+ * boundary, so a persistent store warms future explicit-shard
+ * requests for the cell.
  */
 void
 runShardChain(const std::vector<SweepJob> &jobs, const Task &task,
               CheckpointHook *hook, SweepResult *out)
 {
     const SweepJob &lead = jobs[task.first];
+    const std::string cell = checkpointKey(lead, 0);
     auto stream = lead.workload.base().build(lead.refs);
-    SimState state;
+    FunctionalSimulator sim(lead.config, lead.spec);
     std::uint64_t pos = 0;
     for (std::uint32_t k = 0; k < task.count; ++k) {
         const SweepJob &job = jobs[task.first + k];
+        if (checkpointKey(job, 0) != cell)
+            throw std::invalid_argument(
+                "shard chain mixes cells: '" + checkpointKey(job, 0) +
+                "' follows '" + cell + "'");
         auto [begin, end] = job.workload.shardWindow(job.refs);
         if (begin != pos)
             throw std::invalid_argument(
@@ -241,13 +247,9 @@ runShardChain(const std::vector<SweepJob> &jobs, const Task &task,
         out[k].mode = job.mode;
         out[k].workload = job.workload.label();
         out[k].mechanism = job.spec.label();
-        bool last = k + 1 == task.count;
-        bool want_state = !last || hook;
-        out[k].functional = simulateWindowFrom(
-            job.config, job.spec, *stream, k > 0 ? &state : nullptr,
-            end - begin, want_state ? &state : nullptr);
+        out[k].functional = simulateWindow(sim, *stream, end - begin);
         if (hook)
-            hook->store(checkpointKey(job, end), state);
+            hook->store(checkpointKey(job, end), sim.snapshot());
         pos = end;
     }
 }

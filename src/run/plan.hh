@@ -10,7 +10,7 @@
  * nothing fans out: borrowed, never copied), the emit groups (how
  * many consecutive jobs fold into each result: the shards of one
  * cell, or 1) and the Tasks, in job order.  Each Task is a job range
- * with a kind and a cost weight for the pool's LPT placement:
+ * with a kind and a cost weight for the pool's LPT hand-out:
  *
  *   Cell   one job through runSweepJob(job, hook)   costWeight()
  *   Pass   consecutive functional cells sharing a   costWeight() x width
@@ -116,7 +116,7 @@ struct Task
     std::size_t first = 0;    ///< first job, an index into jobs()
     std::uint32_t count = 1;  ///< consecutive jobs it runs
     std::size_t group = 0;    ///< emit group of the first job
-    std::uint64_t weight = 1; ///< LPT cost estimate
+    std::uint64_t weight = 1; ///< cost estimate: heaviest runs first
 };
 
 class Plan;

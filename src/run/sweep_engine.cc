@@ -84,8 +84,9 @@ runSweepJob(const SweepJob &job)
                 "be sharded)");
         auto [begin, end] = job.workload.shardWindow(job.refs);
         auto stream = job.workload.base().build(job.refs);
-        result.functional = simulateWindow(job.config, job.spec,
-                                           *stream, begin, end - begin);
+        FunctionalSimulator sim(job.config, job.spec);
+        simulateWindow(sim, *stream, begin); // replay warm-up
+        result.functional = simulateWindow(sim, *stream, end - begin);
         return result;
     }
 
@@ -139,47 +140,41 @@ runSweepJob(const SweepJob &job, CheckpointHook *hook)
     result.mode = job.mode;
     result.workload = job.workload.label();
     result.mechanism = job.spec.label();
+    // Record the window from a simulator warmed to `begin` and bank the
+    // state it ends in.
+    auto record = [&](FunctionalSimulator &sim, RefStream &stream) {
+        result.functional = simulateWindow(sim, stream, end - begin);
+        hook->store(checkpointKey(job, end), sim.snapshot());
+        return result;
+    };
 
     if (begin > 0) {
         SimState warm;
         if (hook->load(checkpointKey(job, begin), warm)) {
-            auto stream = job.workload.base().build(job.refs);
             try {
+                FunctionalSimulator sim(job.config, job.spec);
+                sim.restore(warm);
+                auto stream = job.workload.base().build(job.refs);
                 skipRefs(*stream, begin);
-                SimState end_state;
-                result.functional = simulateWindowFrom(
-                    job.config, job.spec, *stream, &warm, end - begin,
-                    &end_state);
-                hook->store(checkpointKey(job, end), end_state);
-                return result;
+                return record(sim, *stream);
             } catch (const std::invalid_argument &) {
                 // A stale or foreign store entry must never fail the
                 // batch: fall through to the replay path below, which
-                // rebuilds the stream from scratch.
+                // rebuilds the simulator and the stream from scratch.
             }
         }
     }
 
+    FunctionalSimulator sim(job.config, job.spec);
     auto stream = job.workload.base().build(job.refs);
-    SimState end_state;
     if (begin > 0) {
         // Replay the prefix once, but bank the warm state it produces
         // so the *next* request for any shard starting at `begin`
         // skips this replay entirely.
-        SimState warm;
-        simulateWindowFrom(job.config, job.spec, *stream, nullptr,
-                           begin, &warm);
-        hook->store(checkpointKey(job, begin), warm);
-        result.functional = simulateWindowFrom(
-            job.config, job.spec, *stream, &warm, end - begin,
-            &end_state);
-    } else {
-        result.functional = simulateWindowFrom(
-            job.config, job.spec, *stream, nullptr, end - begin,
-            &end_state);
+        simulateWindow(sim, *stream, begin);
+        hook->store(checkpointKey(job, begin), sim.snapshot());
     }
-    hook->store(checkpointKey(job, end), end_state);
-    return result;
+    return record(sim, *stream);
 }
 
 std::vector<SweepResult>

@@ -3,19 +3,21 @@
  * Deterministic multi-threaded executor for lowered sweep batches.
  *
  * SweepEngine::run(const Plan &) is the one executor: it hands every
- * Task of a Plan (run/plan.hh) to the pool's work-stealing scheduler
- * with the task's cost weight, runs it with runTask() and completes it
- * through PlanResults, as the dispatcher does for leased tasks.
- * PassMode and ShardWarmup only choose how makePlan() lowers a batch.
+ * Task of a Plan (run/plan.hh) to the pool with the task's cost
+ * weight, so the heaviest tasks start first, runs it with runTask()
+ * and completes it through PlanResults, as the dispatcher does for
+ * leased tasks.  PassMode and ShardWarmup only choose how makePlan()
+ * lowers a batch.
  *
  * The contract: results come back in *submission order*, one per
  * pre-expansion cell, bit-identical to a serial, unsharded,
  * per-mechanism run regardless of thread count or lowering.  Every
  * task owns its entire simulation state (stream, TLB, buffer,
  * prefetchers, RNG) and writes only its pre-assigned result slots, so
- * neither the LPT placement nor any steal can change a result byte.
- * `--threads 1` runs the whole batch inline.  lastBatchStats() exposes
- * the pool's per-worker telemetry for the most recent batch.
+ * neither the hand-out order nor the thread a task lands on can change
+ * a result byte.  `--threads 1` runs the whole batch inline.
+ * lastBatchStats() exposes the pool's per-worker telemetry for the
+ * most recent batch.
  *
  * A job that cannot run (zero reference budget, unknown application
  * model, unreadable trace file, malformed mix, a sharded timing cell)
@@ -194,9 +196,8 @@ class SweepEngine
 
     /**
      * Scheduler telemetry of the most recent run()/runSharded()
-     * batch: per-worker job counts and busy time, steal/backoff
-     * events, and the LPT placement imbalance.  Valid until the next
-     * batch starts.
+     * batch: per-worker job counts and busy time.  Valid until the
+     * next batch starts.
      */
     const ThreadPool::BatchStats &
     lastBatchStats() const

@@ -370,18 +370,18 @@ counterDelta(const SimResult &end, const SimResult &start)
     return delta;
 }
 
-/**
- * Feed @p sim batched references until @p processed reaches @p limit
- * or the stream ends.
- */
-void
-simulateUpTo(FunctionalSimulator &sim, RefStream &stream,
-             std::uint64_t limit, std::uint64_t &processed)
+} // namespace
+
+SimResult
+simulateWindow(FunctionalSimulator &sim, RefStream &stream,
+               std::uint64_t take)
 {
+    SimResult start = sim.result();
     std::vector<MemRef> block(kSimBatchRefs);
-    while (processed < limit) {
+    std::uint64_t processed = 0;
+    while (processed < take) {
         std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(limit - processed, block.size()));
+            std::min<std::uint64_t>(take - processed, block.size()));
         std::size_t got = stream.nextBatch(block.data(), want);
         for (std::size_t i = 0; i < got; ++i)
             sim.process(block[i]);
@@ -389,44 +389,13 @@ simulateUpTo(FunctionalSimulator &sim, RefStream &stream,
         if (got < want)
             break;
     }
-}
-
-} // namespace
-
-SimResult
-simulateWindow(const SimConfig &config, const MechanismSpec &spec,
-               RefStream &stream, std::uint64_t skip,
-               std::uint64_t take)
-{
-    FunctionalSimulator sim(config, spec);
-    std::uint64_t processed = 0;
-    simulateUpTo(sim, stream, skip, processed);
-    SimResult start = sim.result();
-    std::uint64_t end = take > ~0ull - skip ? ~0ull : skip + take;
-    simulateUpTo(sim, stream, end, processed);
-    return counterDelta(sim.result(), start);
-}
-
-SimResult
-simulateWindowFrom(const SimConfig &config, const MechanismSpec &spec,
-                   RefStream &stream, const SimState *warm,
-                   std::uint64_t take, SimState *end_state)
-{
-    FunctionalSimulator sim(config, spec);
-    if (warm)
-        sim.restore(*warm);
-    SimResult start = sim.result();
-    std::uint64_t processed = 0;
-    simulateUpTo(sim, stream, take, processed);
     SimResult delta = counterDelta(sim.result(), start);
     // Window attribution: every reference fed in this window — and
-    // none from the restored prefix — lands in the delta, or sharded
+    // none from the warm-up before it — lands in the delta, or sharded
     // merges would drift from the unsharded run.
     TLBPF_DCHECK_MSG(delta.refs == processed,
                      "window of ", processed, " refs recorded ",
                      delta.refs, " in its counter delta");
-    if (end_state)
-        *end_state = sim.snapshot();
     return delta;
 }
 

@@ -125,8 +125,8 @@ struct SimResult
  * FunctionalSimulator::snapshot() and consumed by restore() on a
  * simulator built from the same SimConfig and MechanismSpec, so a
  * run can be split at any reference boundary and continued
- * bit-identically (the checkpoint-chained shard warm-up in
- * SweepEngine::runSharded).
+ * bit-identically (the persistent shard checkpoints a CheckpointHook
+ * stores and serves).
  */
 struct SimState
 {
@@ -337,33 +337,17 @@ std::vector<SimResult> simulateMany(const SimConfig &config,
 void addCounters(SimResult &into, const SimResult &from);
 
 /**
- * Simulate a *window* of @p stream: the first @p skip references warm
- * the full simulator state by replay (exact, not approximated), the
- * next @p take references are recorded, and the returned result is
- * the counter delta over the recorded window.  Used by sharded cells;
- * shard k of N records window [k*refs/N, (k+1)*refs/N) so that the
- * merged counters equal the unsharded run exactly.
+ * Feed @p sim the next @p take references of @p stream (fewer if the
+ * stream ends) and return the counter delta over them: one *window*
+ * of a sharded cell.  Shard k of N records window
+ * [k*refs/N, (k+1)*refs/N) of a simulator warmed to the window start,
+ * by replaying the prefix through this same call or by restoring the
+ * snapshot() taken there, so the merged windows equal the unsharded
+ * run exactly.  Leaves @p sim's result() current, so a snapshot()
+ * taken right after records the end-of-window state.
  */
-SimResult simulateWindow(const SimConfig &config,
-                         const MechanismSpec &spec, RefStream &stream,
-                         std::uint64_t skip, std::uint64_t take);
-
-/**
- * Simulate a window of @p stream starting from a checkpoint instead
- * of a prefix replay: the simulator is constructed fresh, warmed by
- * restoring @p warm (nullptr starts cold — the window begins at
- * reference 0), fed the next @p take references of @p stream (which
- * must already be positioned at the window start), and the counter
- * delta over the window is returned.  If @p end_state is non-null it
- * receives the end-of-window snapshot, ready to warm the next shard
- * in a checkpoint chain.  Chaining N windows this way reproduces the
- * serial run's counters bit-for-bit at ~1x total work, versus
- * ~(N+1)/2x for N prefix-replaying shards.
- */
-SimResult simulateWindowFrom(const SimConfig &config,
-                             const MechanismSpec &spec,
-                             RefStream &stream, const SimState *warm,
-                             std::uint64_t take, SimState *end_state);
+SimResult simulateWindow(FunctionalSimulator &sim, RefStream &stream,
+                         std::uint64_t take);
 
 } // namespace tlbpf
 

@@ -1,6 +1,7 @@
 #include "sim/timing_sim.hh"
 
 #include <cmath>
+#include <stdexcept>
 
 namespace tlbpf
 {
@@ -15,6 +16,16 @@ TimingSimulator::TimingSimulator(const SimConfig &config,
       _channel(timing.memOpCost),
       _prefetcher(spec.build(_pt))
 {
+    // The cycle model neither flushes nor trains on hits; running such
+    // a cell would answer (and cache) the unflushed, miss-trained one.
+    if (config.contextSwitchInterval != 0)
+        throw std::invalid_argument(
+            "timed cells do not model context switches: "
+            "context_switch_interval must be 0");
+    if (config.trainOnAllRefs)
+        throw std::invalid_argument(
+            "timed cells train on TLB misses only: "
+            "train_on_all_refs must be false");
 }
 
 void

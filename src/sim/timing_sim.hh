@@ -63,6 +63,11 @@ struct TimingResult
 class TimingSimulator
 {
   public:
+    /**
+     * Throws std::invalid_argument for a @p config the cycle model
+     * does not simulate: a nonzero contextSwitchInterval or
+     * trainOnAllRefs.
+     */
     TimingSimulator(const SimConfig &config, const TimingConfig &timing,
                     const MechanismSpec &spec);
 

@@ -5,14 +5,14 @@
  *
  * tlbpf_assert (logging.hh) is for invariants cheap enough to keep in
  * every build.  TLBPF_DCHECK is the tier below it: checks that sit on
- * hot paths (the work-stealing deque, the ordered-emission frontier,
- * the lease state machine, snapshot restore) where the cost is only
- * acceptable in builds that exist to find bugs.  The macros compile
- * to nothing unless TLBPF_ENABLE_DCHECKS is defined, which the build
- * system does for Debug builds, every TLBPF_SANITIZE flavor, and the
- * fuzz harnesses (see the top-level CMakeLists) — so a sanitizer run
- * checks the logical invariants *and* the memory/race ones in a
- * single pass, and plain Release carries zero overhead.
+ * hot paths (the pool's exactly-once hand-out, the ordered-emission
+ * frontier, the lease state machine, snapshot restore) where the cost
+ * is only acceptable in builds that exist to find bugs.  The macros
+ * compile to nothing unless TLBPF_ENABLE_DCHECKS is defined, which
+ * the build system does for Debug builds, every TLBPF_SANITIZE
+ * flavor, and the fuzz harnesses (see the top-level CMakeLists) — so
+ * a sanitizer run checks the logical invariants *and* the memory/race
+ * ones in a single pass, and plain Release carries zero overhead.
  *
  * A failed check formats "<expr> (<detail>)" with its file:line and
  * hands it to the installed failure handler.  The default handler

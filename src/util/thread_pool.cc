@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
+
+#include "util/check.hh"
 
 namespace tlbpf
 {
@@ -17,37 +20,7 @@ secondsSince(Clock::time_point start)
     return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/** xorshift64: cheap, stateless-feeling victim randomization. */
-std::uint64_t
-nextRandom(std::uint64_t &state)
-{
-    std::uint64_t x = state;
-    x ^= x << 13;
-    x ^= x >> 7;
-    x ^= x << 17;
-    state = x;
-    return x;
-}
-
 } // namespace
-
-std::uint64_t
-ThreadPool::BatchStats::stealEvents() const
-{
-    std::uint64_t total = 0;
-    for (const WorkerStats &w : workers)
-        total += w.steals;
-    return total;
-}
-
-std::uint64_t
-ThreadPool::BatchStats::backoffEvents() const
-{
-    std::uint64_t total = 0;
-    for (const WorkerStats &w : workers)
-        total += w.backoffs;
-    return total;
-}
 
 double
 ThreadPool::BatchStats::busyFractionMin() const
@@ -82,8 +55,6 @@ ThreadPool::ThreadPool(unsigned threads)
     : _threads(threads ? threads : defaultThreadCount()),
       _slots(_threads)
 {
-    for (unsigned i = 0; i < _threads; ++i)
-        _slots[i].rng = 0x9e3779b97f4a7c15ull * (i + 1) + 1;
     _workers.reserve(_threads - 1);
     for (unsigned i = 1; i < _threads; ++i)
         _workers.emplace_back([this, i] { workerLoop(i); });
@@ -100,146 +71,28 @@ ThreadPool::~ThreadPool()
         worker.join();
 }
 
-/**
- * Place batch indices into the per-worker deques.
- *
- * Uniform batches (no weights) are dealt round-robin, pushed in
- * descending index order so each owner pops its indices *ascending* —
- * the cache-friendly order of the old cursor hand-out.
- *
- * Weighted batches get the classic longest-processing-time greedy:
- * indices sorted by descending weight, each assigned to the
- * currently least-loaded worker.  Each deque is then seeded
- * lightest-first, so the owner pops heaviest-first (the LPT execution
- * order) while thieves steal the lightest leftovers from the top —
- * cheap fill-in work that rebalances the tail without delaying
- * anyone's big cells.
- */
 void
-ThreadPool::seedDeques(std::size_t n, const std::uint64_t *weights)
-{
-    if (!weights) {
-        std::size_t per = (n + _threads - 1) / _threads;
-        for (unsigned w = 0; w < _threads; ++w)
-            _slots[w].deque.reset(per);
-        for (std::size_t i = n; i-- > 0;)
-            _slots[i % _threads].deque.push(i);
-        _stats.lptImbalance =
-            n == 0 ? 1.0
-                   : static_cast<double>(per) * _threads /
-                         static_cast<double>(n);
-        return;
-    }
-
-    _order.resize(n);
-    for (std::size_t i = 0; i < n; ++i)
-        _order[i] = i;
-    std::stable_sort(_order.begin(), _order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                         return weights[a] > weights[b];
-                     });
-
-    _loads.assign(_threads, 0);
-    for (WorkerSlot &slot : _slots)
-        slot.seed.clear();
-    std::uint64_t total = 0;
-    for (std::size_t i : _order) {
-        unsigned target = 0;
-        for (unsigned w = 1; w < _threads; ++w)
-            if (_loads[w] < _loads[target])
-                target = w;
-        std::uint64_t weight = weights[i] ? weights[i] : 1;
-        _loads[target] += weight;
-        total += weight;
-        _slots[target].seed.push_back(i);
-    }
-    for (WorkerSlot &slot : _slots) {
-        slot.deque.reset(slot.seed.size());
-        for (std::size_t k = slot.seed.size(); k-- > 0;)
-            slot.deque.push(slot.seed[k]);
-    }
-    std::uint64_t max_load =
-        *std::max_element(_loads.begin(), _loads.end());
-    _stats.lptImbalance =
-        total == 0 ? 1.0
-                   : static_cast<double>(max_load) * _threads /
-                         static_cast<double>(total);
-}
-
-void
-ThreadPool::runOne(unsigned self, std::size_t index, bool stolen)
+ThreadPool::drain(unsigned self)
 {
     WorkerSlot &me = _slots[self];
-    auto start = Clock::now();
-    try {
-        _invoke(_ctx, index);
-    } catch (...) {
-        if (index < me.errorIndex) {
-            me.errorIndex = index;
-            me.error = std::current_exception();
-        }
-    }
-    me.busySeconds += secondsSince(start);
-    ++me.jobs;
-    me.steals += stolen;
-    _remaining.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-/** One randomized sweep over every other worker's deque. */
-bool
-ThreadPool::stealOne(unsigned self, std::size_t &index)
-{
-    WorkerSlot &me = _slots[self];
-    unsigned victims = _threads - 1;
-    unsigned start = static_cast<unsigned>(nextRandom(me.rng) % victims);
-    for (unsigned k = 0; k < victims; ++k) {
-        unsigned victim = self + 1 + (start + k) % victims;
-        if (victim >= _threads)
-            victim -= _threads;
-        if (_slots[victim].deque.steal(index))
-            return true;
-    }
-    return false;
-}
-
-/**
- * The scheduler loop every thread runs for the duration of a batch:
- * drain the own deque, then steal, then back off exponentially while
- * other workers still hold in-flight jobs.
- */
-void
-ThreadPool::schedLoop(unsigned self)
-{
-    WorkerSlot &me = _slots[self];
-    unsigned backoff = 0;
-    std::size_t index;
-    while (_remaining.load(std::memory_order_acquire) != 0) {
-        if (me.deque.pop(index)) {
-            runOne(self, index, false);
-            backoff = 0;
-            continue;
-        }
-        if (_threads > 1 && stealOne(self, index)) {
-            runOne(self, index, true);
-            backoff = 0;
-            continue;
-        }
-        if (_threads == 1)
-            return; // own deque dry and nobody else holds work
-        if (_remaining.load(std::memory_order_acquire) == 0)
+    for (;;) {
+        std::size_t k = _next.fetch_add(1);
+        if (k >= _order.size())
             return;
-        // Every deque is dry but jobs are still running elsewhere
-        // (or a steal race was lost): back off so the straggler's
-        // core is not stolen by a busy-spinning thief.
-        ++me.backoffs;
-        if (backoff < 2) {
-            std::this_thread::yield();
-        } else {
-            unsigned shift = std::min(backoff - 2, 9u);
-            std::this_thread::sleep_for(
-                std::chrono::microseconds(1u << shift));
+        std::size_t index = _order[k];
+        if (dchecksEnabled())
+            _runs[index].fetch_add(1, std::memory_order_relaxed);
+        auto start = Clock::now();
+        try {
+            _invoke(_ctx, index);
+        } catch (...) {
+            if (index < me.errorIndex) {
+                me.errorIndex = index;
+                me.error = std::current_exception();
+            }
         }
-        ++backoff;
+        me.busySeconds += secondsSince(start);
+        ++me.jobs;
     }
 }
 
@@ -257,7 +110,7 @@ ThreadPool::workerLoop(unsigned self)
                 return;
             seen = _generation;
         }
-        schedLoop(self);
+        drain(self);
         {
             std::lock_guard<std::mutex> lock(_mutex);
             if (--_active == 0)
@@ -267,67 +120,27 @@ ThreadPool::workerLoop(unsigned self)
 }
 
 void
-ThreadPool::collectStats(std::size_t n, double seconds)
-{
-    _stats.jobs = n;
-    _stats.seconds = seconds;
-    _stats.workers.resize(_threads);
-    for (unsigned w = 0; w < _threads; ++w) {
-        _stats.workers[w].jobs = _slots[w].jobs;
-        _stats.workers[w].steals = _slots[w].steals;
-        _stats.workers[w].backoffs = _slots[w].backoffs;
-        _stats.workers[w].busySeconds = _slots[w].busySeconds;
-    }
-}
-
-void
-ThreadPool::rethrowLowestIndexError()
-{
-    std::size_t best = std::numeric_limits<std::size_t>::max();
-    unsigned who = 0;
-    for (unsigned w = 0; w < _threads; ++w) {
-        if (_slots[w].errorIndex < best) {
-            best = _slots[w].errorIndex;
-            who = w;
-        }
-    }
-    if (best == std::numeric_limits<std::size_t>::max())
-        return;
-    std::exception_ptr first = _slots[who].error;
-    for (WorkerSlot &slot : _slots)
-        slot.error = nullptr;
-    std::rethrow_exception(first);
-}
-
-void
 ThreadPool::runBatch(std::size_t n, const std::uint64_t *weights,
                      BatchThunk invoke, const void *ctx)
 {
-    if (n == 0) {
-        _stats = BatchStats{};
-        _stats.workers.assign(_threads, WorkerStats{});
-        return;
-    }
     auto start = Clock::now();
-    for (WorkerSlot &slot : _slots) {
-        slot.jobs = 0;
-        slot.steals = 0;
-        slot.backoffs = 0;
-        slot.busySeconds = 0;
-        slot.errorIndex = std::numeric_limits<std::size_t>::max();
-        slot.error = nullptr;
-    }
-    seedDeques(n, weights);
+    for (WorkerSlot &slot : _slots)
+        slot = WorkerSlot{};
+    _order.resize(n);
+    std::iota(_order.begin(), _order.end(), std::size_t{0});
+    if (weights)
+        std::stable_sort(_order.begin(), _order.end(),
+                         [&](std::size_t a, std::size_t b) {
+                             return weights[a] > weights[b];
+                         });
+    if (dchecksEnabled())
+        _runs = std::vector<std::atomic<std::uint8_t>>(n);
     _invoke = invoke;
     _ctx = ctx;
-    _remaining.store(n, std::memory_order_seq_cst);
+    _next.store(0);
 
-    if (_workers.empty()) {
-        // Serial pool: the same deque-driven scheduler, run inline
-        // with no synchronisation — so the per-job scheduling cost a
-        // 1-worker engine pays is exactly what the benches measure
-        // as serial_vs_parallel_overhead.
-        schedLoop(0);
+    if (_workers.empty() || n == 0) {
+        drain(0);
     } else {
         {
             std::lock_guard<std::mutex> lock(_mutex);
@@ -335,16 +148,33 @@ ThreadPool::runBatch(std::size_t n, const std::uint64_t *weights,
             ++_generation;
         }
         _wake.notify_all();
-        schedLoop(0);
-        {
-            std::unique_lock<std::mutex> lock(_mutex);
-            _done.wait(lock, [&] { return _active == 0; });
-        }
+        drain(0);
+        std::unique_lock<std::mutex> lock(_mutex);
+        _done.wait(lock, [&] { return _active == 0; });
     }
     _invoke = nullptr;
     _ctx = nullptr;
-    collectStats(n, secondsSince(start));
-    rethrowLowestIndexError();
+    if (dchecksEnabled())
+        for (std::size_t i = 0; i < n; ++i)
+            TLBPF_DCHECK_MSG(_runs[i].load() == 1, "batch index ", i,
+                             " ran ", +_runs[i].load(), " times");
+
+    _stats.jobs = n;
+    _stats.seconds = secondsSince(start);
+    _stats.workers.resize(_threads);
+    std::size_t failed = std::numeric_limits<std::size_t>::max();
+    std::exception_ptr error;
+    for (unsigned w = 0; w < _threads; ++w) {
+        WorkerSlot &slot = _slots[w];
+        _stats.workers[w] = WorkerStats{slot.jobs, slot.busySeconds};
+        if (slot.errorIndex < failed) {
+            failed = slot.errorIndex;
+            error = slot.error;
+        }
+        slot.error = nullptr;
+    }
+    if (error)
+        std::rethrow_exception(error);
 }
 
 } // namespace tlbpf

@@ -1,47 +1,39 @@
 /**
  * @file
- * A fixed-size worker pool with a work-stealing scheduler for
- * deterministic fan-out.
+ * A fixed-size worker pool that hands out a batch from one shared
+ * cursor, for deterministic fan-out.
  *
  * The pool exposes two primitives:
  *
  *   parallelFor(n, fn)                   invoke fn(i) for every index
- *                                        in [0, n), assuming all
- *                                        indices cost about the same
+ *                                        in [0, n), handed out in
+ *                                        index order
  *   parallelForWeighted(n, weights, fn)  the same, with a per-index
  *                                        relative cost estimate that
- *                                        seeds the schedule
+ *                                        orders the hand-out
  *
- * Scheduling: every thread (the calling thread participates as worker
- * 0) owns a Chase–Lev-style WorkDeque.  Batch indices are placed into
- * the deques up front — round-robin for uniform batches, a
- * longest-processing-time greedy placement (heaviest index to the
- * least-loaded worker) for weighted ones — and each worker drains its
- * own deque LIFO from the bottom, heaviest first.  A worker whose
- * deque runs dry *steals* the oldest (lightest) index from a
- * randomized sequence of victims, so tail imbalance — one worker
- * stuck with a 50x cell while the others idle — self-corrects.  When
- * every deque is dry but jobs are still in flight, the thief backs
- * off exponentially (yield, then escalating micro-sleeps) instead of
- * burning a core.
+ * Scheduling is Graham's longest-processing-time list schedule: a
+ * weighted batch's indices are stable-sorted by descending weight
+ * (ties keep index order), and every thread — the calling thread
+ * participates as worker 0 — claims the next index of that order from
+ * one atomic cursor until the batch runs out.  Each idle thread thus
+ * takes the heaviest task left, so a 50x cell starts first instead of
+ * holding the batch open at the end.  A pool of 1 spawns no workers
+ * and runs the same order inline.
  *
- * Determinism is the *caller's* contract exactly as before: fn must
- * write only to per-index state (e.g. slot i of a pre-sized results
- * vector), so the outcome is identical for any thread count and any
- * steal interleaving, including a pool of 1 — which spawns no workers
- * and drains the (single) deque inline.  Exceptions thrown by fn are
- * captured and the one with the lowest index is rethrown on the
- * calling thread after the batch drains, which keeps error reporting
- * deterministic under stealing too; every per-index slot is still
- * written.  The callable is taken by const reference all the way down
- * (a function-pointer thunk, not std::function), so a batch
+ * Determinism is the *caller's* contract: fn must write only to
+ * per-index state (e.g. slot i of a pre-sized results vector), so the
+ * outcome is identical for any thread count and any interleaving.
+ * Exceptions thrown by fn are captured and the one with the lowest
+ * index is rethrown on the calling thread after the batch drains,
+ * which keeps error reporting deterministic too; every per-index slot
+ * is still written.  The callable is taken by const reference all the
+ * way down (a function-pointer thunk, not std::function), so a batch
  * submission allocates nothing for the callable.
  *
- * Telemetry: the pool records per-worker executed-job counts, busy
- * time, steal counts and backoff events for the most recent batch,
- * plus the seeded-load imbalance of the LPT placement — see
- * BatchStats.  Reading lastBatchStats() is only valid between
- * batches.
+ * Telemetry: the pool records per-worker executed-job counts and busy
+ * time for the most recent batch — see BatchStats.  Reading
+ * lastBatchStats() is only valid between batches.
  */
 
 #ifndef TLBPF_UTIL_THREAD_POOL_HH
@@ -56,39 +48,27 @@
 #include <thread>
 #include <vector>
 
-#include "util/work_deque.hh"
-
 namespace tlbpf
 {
 
-/** Fixed-size worker pool with work-stealing parallel-for. */
+/** Fixed-size worker pool with an LPT-ordered parallel-for. */
 class ThreadPool
 {
   public:
     /** Per-worker telemetry for the most recent batch. */
     struct WorkerStats
     {
-        std::uint64_t jobs = 0;     ///< indices this worker executed
-        std::uint64_t steals = 0;   ///< of which were stolen
-        std::uint64_t backoffs = 0; ///< dry sweeps over every deque
-        double busySeconds = 0;     ///< time spent inside fn
+        std::uint64_t jobs = 0; ///< indices this worker executed
+        double busySeconds = 0; ///< time spent inside fn
     };
 
     /** Whole-batch telemetry (see lastBatchStats()). */
     struct BatchStats
     {
-        std::size_t jobs = 0;      ///< batch size n
-        double seconds = 0;        ///< wall-clock of the batch
-        /**
-         * Max over workers of seeded weight / ideal (total/threads):
-         * 1.0 is a perfectly balanced placement; stealing is what
-         * covers the gap between this estimate and reality.
-         */
-        double lptImbalance = 1.0;
+        std::size_t jobs = 0;             ///< batch size n
+        double seconds = 0;               ///< wall-clock of the batch
         std::vector<WorkerStats> workers; ///< one per thread
 
-        std::uint64_t stealEvents() const;
-        std::uint64_t backoffEvents() const;
         /** Min/max over workers of busySeconds / batch seconds. */
         double busyFractionMin() const;
         double busyFractionMax() const;
@@ -126,10 +106,8 @@ class ThreadPool
     /**
      * parallelFor with a per-index relative cost estimate:
      * @p weights[i] is the expected cost of fn(i) in any consistent
-     * unit (a zero weight is treated as 1).  The estimates seed the
-     * deques with an LPT placement so wildly uneven batches start
-     * balanced; stealing corrects whatever the estimate gets wrong.
-     * @p weights must stay valid until the call returns.
+     * unit.  Indices are handed out heaviest first, ties in index
+     * order.  @p weights must stay valid until the call returns.
      */
     template <typename Fn>
     void
@@ -171,61 +149,50 @@ class ThreadPool
     }
 
     /**
-     * One worker's scheduler state, padded so two workers never share
-     * a cache line of hot metadata.  Slot 0 belongs to the calling
-     * thread; slots 1.. to the spawned workers.
+     * What one thread did in the current batch, written only by that
+     * thread and read by the caller after the drain.  Padded so two
+     * workers never share a cache line.  Slot 0 belongs to the
+     * calling thread; slots 1.. to the spawned workers.
      */
     struct alignas(64) WorkerSlot
     {
-        WorkDeque deque;
-        // Telemetry, written only by the owning worker during a
-        // batch and read by the caller after the drain.
         std::uint64_t jobs = 0;
-        std::uint64_t steals = 0;
-        std::uint64_t backoffs = 0;
         double busySeconds = 0;
-        // Lowest failing index this worker has seen, SIZE_MAX if
-        // none; exceptions are aggregated across slots after the
-        // batch so the lowest submission index wins globally.
-        std::size_t errorIndex =
-            std::numeric_limits<std::size_t>::max();
+        /** Lowest failing index this thread has seen, SIZE_MAX if
+         *  none; the caller keeps the lowest across slots. */
+        std::size_t errorIndex = std::numeric_limits<std::size_t>::max();
         std::exception_ptr error;
-        std::uint64_t rng = 0; ///< xorshift state for victim choice
-        std::vector<std::size_t> seed; ///< LPT staging, reused
     };
 
     void runBatch(std::size_t n, const std::uint64_t *weights,
                   BatchThunk invoke, const void *ctx);
-    void seedDeques(std::size_t n, const std::uint64_t *weights);
-    void schedLoop(unsigned self);
-    void runOne(unsigned self, std::size_t index, bool stolen);
-    bool stealOne(unsigned self, std::size_t &index);
+    /** Claim and run indices from the cursor until the batch is out. */
+    void drain(unsigned self);
     void workerLoop(unsigned self);
-    void collectStats(std::size_t n, double seconds);
-    void rethrowLowestIndexError();
 
     unsigned _threads;
-    std::vector<std::thread> _workers;
     std::vector<WorkerSlot> _slots; ///< one per thread, 0 = caller
 
     std::mutex _mutex;
     std::condition_variable _wake; ///< workers wait for a batch
     std::condition_variable _done; ///< caller waits for the drain
 
-    // In-flight batch state.  _generation bumps once per batch so
-    // sleeping workers can tell a new batch from a spurious wakeup;
-    // _remaining counts not-yet-finished indices and doubles as the
-    // batch-done signal for thieves in backoff.
+    // The in-flight batch, written by the caller before the
+    // generation bump under _mutex publishes it to the workers.
+    // _generation bumps once per batch so sleeping workers can tell a
+    // new batch from a spurious wakeup.
     std::uint64_t _generation = 0;
     bool _stopping = false;
+    unsigned _active = 0; ///< workers still inside the current batch
     BatchThunk _invoke = nullptr;
     const void *_ctx = nullptr;
-    std::atomic<std::size_t> _remaining{0};
-    unsigned _active = 0; ///< workers still inside the current batch
+    std::vector<std::size_t> _order; ///< hand-out order, reused
+    std::atomic<std::size_t> _next{0}; ///< cursor into _order
+    /** Times each index ran; checking builds only. */
+    std::vector<std::atomic<std::uint8_t>> _runs;
 
     BatchStats _stats;
-    std::vector<std::uint64_t> _loads; ///< LPT scratch, reused
-    std::vector<std::size_t> _order;   ///< LPT scratch, reused
+    std::vector<std::thread> _workers; ///< last: they use the above
 };
 
 } // namespace tlbpf

@@ -11,6 +11,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
@@ -283,6 +285,57 @@ TEST(Checkpoint, MismatchedRestoreThrows)
 }
 
 /**
+ * A chain runs its shards on one simulator and snapshots it only for
+ * the hook.  Every state a 4-shard checkpoint plan stores must be
+ * byte-identical to the snapshot() of one uninterrupted simulator
+ * stopped at the same position, so the states a chain persists warm
+ * later explicit-shard requests exactly.
+ */
+TEST(Checkpoint, ChainStoresTheUninterruptedSimulatorsBytes)
+{
+    class RecordingHook : public CheckpointHook
+    {
+      public:
+        bool load(const std::string &, SimState &) override { return false; }
+        void
+        store(const std::string &key, const SimState &state) override
+        {
+            std::lock_guard<std::mutex> lock(_mutex);
+            stored[key] = state.bytes;
+        }
+        std::map<std::string, std::vector<std::uint8_t>> stored;
+
+      private:
+        std::mutex _mutex;
+    };
+
+    for (const char *mech : {"rp", "DP,256,D", "hybrid(dp+sp)"}) {
+        SweepJob job = SweepJob::functional(
+            WorkloadSpec::app("mcf"), MechanismSpec::parse(mech), kRefs);
+        RecordingHook hook;
+        SweepEngine engine(1);
+        engine.setCheckpointHook(&hook);
+        (void)engine.runSharded({job}, 4, ShardWarmup::Checkpoint);
+        EXPECT_EQ(hook.stored.size(), 4u) << mech;
+
+        auto refs = collect(*job.workload.build(kRefs), kRefs);
+        FunctionalSimulator sim(job.config, job.spec);
+        std::uint64_t pos = 0;
+        for (std::uint32_t k = 0; k < 4; ++k) {
+            std::uint64_t end =
+                job.workload.withShard(k, 4).shardWindow(kRefs).second;
+            for (; pos < end; ++pos)
+                sim.process(refs[pos]);
+            (void)sim.result(); // a snapshot records result()'s counters
+            auto stored = hook.stored.find(checkpointKey(job, end));
+            ASSERT_NE(stored, hook.stored.end()) << mech << " at " << end;
+            EXPECT_EQ(stored->second, sim.snapshot().bytes)
+                << mech << " at " << end;
+        }
+    }
+}
+
+/**
  * The 1-vs-8-shard CSV byte compare, in both warm-up modes: sharding
  * a batch must never change a single output byte, whether shards
  * replay their prefix or chain checkpoints, at any thread count.
@@ -316,11 +369,11 @@ TEST(Checkpoint, ShardWarmupModesPreserveCsvBytes)
 /**
  * The scheduler-hostile shape: a couple of 8-shard checkpoint chains
  * (each a long serialized task) surrounded by trivial cells an order
- * of magnitude cheaper.  The LPT seeding and any steal interleaving
- * it provokes must not change a single CSV byte across thread counts,
- * in either warm-up mode.  The plan is hand-built so only the heavy
- * cells fan out — expandShards() would shard the trivial cells too
- * and flatten the skew this test exists to cover.
+ * of magnitude cheaper.  The LPT hand-out and whatever interleaving of
+ * threads it meets must not change a single CSV byte across thread
+ * counts, in either warm-up mode.  The plan is hand-built so only the
+ * heavy cells fan out — expandShards() would shard the trivial cells
+ * too and flatten the skew this test exists to cover.
  */
 TEST(ParallelDeterminism, SkewedShardChainBatchIsThreadCountInvariant)
 {

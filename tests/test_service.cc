@@ -853,5 +853,47 @@ TEST(Server, InvalidMechanismGetsAnErrorFrameAndTheServerLives)
     serving.join();
 }
 
+/**
+ * The cycle model does not simulate context switches, so a timed
+ * request that sets context_switch_interval gets an error frame
+ * instead of the unflushed answer; the same server then answers the
+ * functional request with that interval.
+ */
+TEST(Server, TimedContextSwitchRequestGetsAnErrorFrame)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    SweepRequest request;
+    request.workloads = {"app:mcf"};
+    request.mechanisms = {"DP,256,D"};
+    request.refs = kRefs;
+    request.mode = JobMode::Timed;
+    request.config.contextSwitchInterval = 1000;
+    try {
+        ServiceClient("127.0.0.1", server.port()).sweep(request);
+        ADD_FAILURE() << "the server answered a timed cell with "
+                         "context switches";
+    } catch (const std::runtime_error &e) {
+        std::string what = e.what();
+        EXPECT_NE(what.find("server error"), std::string::npos) << what;
+        EXPECT_NE(what.find("context_switch_interval"),
+                  std::string::npos)
+            << what;
+    }
+
+    request.mode = JobMode::Functional;
+    ServiceClient::SweepOutcome functional =
+        ServiceClient("127.0.0.1", server.port()).sweep(request);
+    ASSERT_EQ(functional.results.size(), 1u);
+    EXPECT_GT(functional.results[0].functional.contextSwitches, 0u);
+
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
 } // namespace
 } // namespace tlbpf

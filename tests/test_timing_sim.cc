@@ -2,11 +2,16 @@
  * @file
  * Tests for the timing simulator's cycle accounting: the constant miss
  * penalty, in-flight prefetch stalls, channel contention, and RP's
- * benefit-of-the-doubt rule.
+ * benefit-of-the-doubt rule; and its refusal of the ablation switches
+ * the cycle model does not simulate.
  */
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
+#include "run/sweep_engine.hh"
 #include "sim/experiment.hh"
 #include "sim/timing_sim.hh"
 #include "trace/ref_stream.hh"
@@ -203,6 +208,41 @@ TEST(TimingSim, PrefetchingSpeedsUpStridedApp)
     TimingResult base = runTimed("galgel", spec("none"), 150000);
     TimingResult dp = runTimed("galgel", spec("dp(rows=64)"), 150000);
     EXPECT_LT(dp.cycles, base.cycles);
+}
+
+/**
+ * A timed cell under @p config must fail with an error naming
+ * @p field, both on the simulator itself and through the engine's
+ * cell runner, rather than answer the cell the switch does not apply
+ * to.
+ */
+void
+expectTimedCellRejected(const SimConfig &config, const char *field)
+{
+    try {
+        TimingSimulator sim(config, TimingConfig{}, spec("DP,256,D"));
+        ADD_FAILURE() << "the timing simulator accepted " << field;
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+    SweepJob job = SweepJob::timed(WorkloadSpec::app("mcf"),
+                                   spec("DP,256,D"), 5000, config);
+    EXPECT_THROW(runSweepJob(job), std::invalid_argument) << field;
+}
+
+TEST(TimingSim, RejectsContextSwitchInterval)
+{
+    SimConfig config;
+    config.contextSwitchInterval = 1000;
+    expectTimedCellRejected(config, "context_switch_interval");
+}
+
+TEST(TimingSim, RejectsTrainOnAllRefs)
+{
+    SimConfig config;
+    config.trainOnAllRefs = true;
+    expectTimedCellRejected(config, "train_on_all_refs");
 }
 
 } // namespace
