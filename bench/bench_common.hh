@@ -84,8 +84,10 @@ struct BenchOptions
     ShardWarmup shardWarmup = ShardWarmup::Checkpoint;
     /**
      * Drain each distinct stream once for all of its mechanisms
-     * (--single-pass, default on).  Shards never share a pass;
-     * results are bit-identical in both settings.
+     * (--single-pass, default on); with checkpoint warm-up a stream's
+     * shards are one chain for all of its mechanisms, run on one
+     * thread as a single-pass group is.  Off keeps one chain per cell.
+     * Results are bit-identical in both settings.
      */
     bool singlePass = true;
 };
@@ -415,12 +417,13 @@ runBatch(const BenchOptions &options, const std::vector<SweepJob> &jobs)
         if (options.shardWarmup == ShardWarmup::Checkpoint &&
             options.shards > 1 && tasks < options.threads) {
             // Chaining trades replay's wall-clock fan-out for ~1x
-            // total CPU; with fewer cells than workers that trade is
+            // total CPU; with fewer tasks than workers that trade is
             // worth flagging so nobody waits on a silently-serial
-            // giant cell.
+            // giant chain.
             std::fprintf(stderr,
-                         "note: checkpoint warm-up chains each "
-                         "cell's shards into one task (%zu task%s "
+                         "note: checkpoint warm-up chains the "
+                         "shards of each stream (each cell with "
+                         "--single-pass off) into one task (%zu task%s "
                          "for --threads %u); use --shard-warmup "
                          "replay to trade ~(N+1)/2x total CPU for "
                          "wall-clock fan-out of few large cells\n",

@@ -17,8 +17,10 @@
  *     -> {"type":"lease_grant","lease":L,"chain":B,"jobs":[...]}
  *        when the dispatcher has leasable work: with "chain" false,
  *        one single-pass group (cells sharing a stream) or a block
- *        of plain cells; with "chain" true, one checkpoint-chained
- *        shard group — run those jobs sequentially, in order; or
+ *        of plain cells; with "chain" true, a checkpoint chain: the
+ *        shards of one or more cells over one stream, cell-major —
+ *        run each window in stream order, every cell's shard k
+ *        warmed from its shard k-1; or
  *     -> {"type":"lease_idle"} when it does not (sleep briefly, ask
  *        again).
  *   {"type":"cell_result","lease":L,"results":[...]}
@@ -86,8 +88,9 @@ struct WorkerWelcome
  * Leased tasks of the dispatcher's Plan.  chain == false: independent
  * functional cells — one single-pass group (one stream, so a worker
  * may drain it once for every mechanism) or a block of plain cells.
- * chain == true: the shards of one cell in stream order, to be run
- * sequentially so shard k warms from shard k-1's snapshot.
+ * chain == true: the shards of one or more cells over one stream,
+ * cell-major, to be run window by window in stream order so each
+ * cell's shard k warms from its shard k-1's snapshot.
  */
 struct LeaseGrant
 {

@@ -8,13 +8,14 @@
  * Execution model.  One batch (a Plan, see run/plan.hh) is active at
  * a time — the server serializes sweeps across connections.
  * runBatch() queues the plan's Tasks — the engine's own single-pass
- * groups, shard chains and cells.  Local drain loops (one per engine
- * pool thread) run tasks from the back with runTask(); worker
- * sessions lease them from the front: a Pass or Chain alone, Cells in
- * blocks of up to `worker threads` jobs.  Every completed task, local
- * or remote, goes through the engine's PlanResults, which folds a
- * sharded cell once its last task lands and emits in submission order
- * no matter which side — or which machine — simulated a cell.
+ * groups, shard chains (every shard of one or more cells over one
+ * stream) and cells.  Local drain loops (one per engine pool thread)
+ * run tasks from the back with runTask(); worker sessions lease them
+ * from the front: a Pass or Chain alone and whole, Cells in blocks of
+ * up to `worker threads` jobs.  Every completed task, local or remote,
+ * goes through the engine's PlanResults, which folds each sharded cell
+ * once its last shard lands and emits in submission order no matter
+ * which side — or which machine — simulated a cell.
  *
  * Leases carry a deadline.  A worker refreshes its deadlines with
  * one-way heartbeats; a worker whose connection drops is reclaimed

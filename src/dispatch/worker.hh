@@ -9,12 +9,13 @@
  * never interleave.
  *
  * runLease() lowers each grant back into the server's tasks: a chain
- * (one cell's shards) is one stream pass, each shard warmed from its
- * predecessor's snapshot, and with a --cache-dir shared with the
- * server every boundary lands in the checkpoint store; a single-pass
- * group is one stream pass for all its mechanisms; a block of cells
- * fans out across the worker engine's pool.  The counters are the
- * engine's own, so a leased cell is bit-identical to a local one.
+ * (the shards of one or more cells over one stream, cell-major) is
+ * one stream pass for all its mechanisms, each shard warmed from its
+ * predecessor's state, and with a --cache-dir shared with the server
+ * every cell's boundary checkpoints land in the checkpoint store; a
+ * single-pass group is one stream pass for all its mechanisms; a block
+ * of cells fans out across the worker engine's pool.  The counters are
+ * the engine's own, so a leased cell is bit-identical to a local one.
  *
  * A cell the worker cannot run (e.g. a trace path that only exists on
  * the server's filesystem) is answered with a cell_result error frame
@@ -53,9 +54,10 @@ struct DispatchWorkerOptions
 };
 
 /**
- * Run @p grant on @p engine as a worker does (a chain through
- * makeChainPlan(), anything else single-pass) and answer it: one
- * result per job, or the error that stopped it.
+ * Run @p grant on @p engine as a worker does (a chain of one or more
+ * cells through makeChainPlan(), anything else single-pass) and answer
+ * it: one result per job, in grant order, or the error that stopped
+ * it.
  */
 CellResultMsg runLease(SweepEngine &engine, const LeaseGrant &grant);
 

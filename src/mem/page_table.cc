@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/check.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
 
@@ -102,8 +103,11 @@ PageTable::clear()
 }
 
 void
-PageTable::snapshotState(SnapshotWriter &out) const
+PageTable::snapshotState(SnapshotWriter &out, const PageTable &links) const
 {
+    TLBPF_DCHECK_MSG(links.size() <= size(), "link table holds ",
+                     links.size(), " pages, the translations only ",
+                     size());
     std::vector<const Slot *> slots;
     slots.reserve(_pool.size());
     for (const Slot &slot : _pool)
@@ -112,20 +116,25 @@ PageTable::snapshotState(SnapshotWriter &out) const
               [](const Slot *a, const Slot *b) {
                   return a->vpn < b->vpn;
               });
+    const PageTableEntry unlinked;
     out.u64(slots.size());
     for (const Slot *slot : slots) {
+        const PageTableEntry *link = links.find(slot->vpn);
+        if (!link)
+            link = &unlinked;
         out.u64(slot->vpn);
         out.u64(slot->pte.pfn);
-        out.u64(slot->pte.next);
-        out.u64(slot->pte.prev);
-        out.boolean(slot->pte.inStack);
+        out.u64(link->next);
+        out.u64(link->prev);
+        out.boolean(link->inStack);
     }
 }
 
 void
-PageTable::restoreState(SnapshotReader &in)
+PageTable::restoreState(SnapshotReader &in, PageTable &links)
 {
     clear();
+    links.clear();
     std::uint64_t count = in.u64();
     // 33 bytes per serialized PTE: a corrupt count field must fail
     // with the clean checkpoint error, not a length_error/bad_alloc
@@ -139,11 +148,18 @@ PageTable::restoreState(SnapshotReader &in)
         if (find(vpn))
             SnapshotReader::fail("duplicate page table entry in "
                                  "checkpoint");
-        PageTableEntry &pte = lookup(vpn);
-        pte.pfn = in.u64();
-        pte.next = in.u64();
-        pte.prev = in.u64();
-        pte.inStack = in.boolean();
+        lookup(vpn).pfn = in.u64();
+        PageTableEntry link;
+        link.next = in.u64();
+        link.prev = in.u64();
+        link.inStack = in.boolean();
+        if (link.next != kNoPage || link.prev != kNoPage ||
+            link.inStack) {
+            PageTableEntry &into = links.lookup(vpn);
+            into.next = link.next;
+            into.prev = link.prev;
+            into.inStack = link.inStack;
+        }
     }
 }
 

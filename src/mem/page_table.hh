@@ -70,14 +70,20 @@ class PageTable
     void clear();
 
     /**
-     * Serialize every PTE (translation plus RP's stack links) in
-     * ascending-VPN order, so the byte string is canonical even
-     * though the backing container is unordered.
+     * Serialize every PTE in ascending-VPN order, so the byte string
+     * is canonical even though the backing container is unordered:
+     * this table's translation plus the stack links @p links holds for
+     * that page (unlinked when @p links lacks it).  A simulator keeps
+     * RP's links in a table of its own, which only ever holds pages
+     * this one translates.
      */
-    void snapshotState(SnapshotWriter &out) const;
+    void snapshotState(SnapshotWriter &out, const PageTable &links) const;
 
-    /** Restore state written by snapshotState(). */
-    void restoreState(SnapshotReader &in);
+    /**
+     * Restore state written by snapshotState(): every translation into
+     * this table, and every entry with stack links into @p links.
+     */
+    void restoreState(SnapshotReader &in, PageTable &links);
 
   private:
     struct Slot

@@ -131,11 +131,10 @@ struct MechanismSpec
      * state lives in the page table (RP) and ignored by the on-chip
      * ones.  A mechanism must create every entry it reads
      * (PageTable::lookup, not find) and must not rely on entries it did
-     * not create: a FunctionalSimulator passes the table its TLB misses
-     * fill, but a single-pass sweep (simulateMany) gives each mechanism
-     * a private table holding only the entries that mechanism looked
-     * up.  A cell's footprintPages always counts the simulator's own
-     * table, i.e. the missed pages.  Returns nullptr for the "none"
+     * not create: a FunctionalSimulator gives each mechanism a private
+     * table holding only the entries that mechanism looked up.  A
+     * cell's footprintPages always counts the front end's table, i.e.
+     * the missed pages.  Returns nullptr for the "none"
      * baseline.  Throws std::invalid_argument if the spec does not
      * resolve.
      */

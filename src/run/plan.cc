@@ -96,11 +96,11 @@ passBatchable(const SweepJob &job)
            job.refs > 0;
 }
 
-/** Whether two batchable cells would drain the very same stream. */
+/** Whether two cells, or shards of cells, drain the very same stream. */
 bool
 sameStream(const SweepJob &a, const SweepJob &b)
 {
-    return a.workload == b.workload && a.refs == b.refs &&
+    return a.workload.base() == b.workload.base() && a.refs == b.refs &&
            a.config == b.config;
 }
 
@@ -124,11 +124,25 @@ Plan::lower(ShardWarmup warmup, PassMode mode)
         const SweepJob &job = all[first];
         if (sizes[g] > 1 && warmup == ShardWarmup::Checkpoint &&
             mechanismCheckpointable(job)) {
-            // A chain simulates its cell's stream exactly once, so it
-            // weighs the whole budget: typically 10-50x the cells it
-            // shares a batch with, so the pool must start it first.
+            // A chain simulates its stream exactly once per cell, so it
+            // weighs the whole budget per cell: typically 10-50x the
+            // cells it shares a batch with, so the pool must start it
+            // first.
+            std::uint64_t weight = std::max<std::uint64_t>(job.refs, 1);
+            if (mode == PassMode::SinglePass && !_tasks.empty()) {
+                // Adjacent chains over one stream and one fan-out are
+                // one chain: its simulator feeds every window once.
+                Task &last = _tasks.back();
+                if (last.kind == TaskKind::Chain &&
+                    sizes[last.group] == sizes[g] &&
+                    sameStream(all[last.first], job)) {
+                    last.count += sizes[g];
+                    last.weight += weight;
+                    continue;
+                }
+            }
             _tasks.push_back(Task{TaskKind::Chain, first, sizes[g], g,
-                                  std::max<std::uint64_t>(job.refs, 1)});
+                                  weight});
             continue;
         }
         // Only adjacent cells share a pass, so submission order — and
@@ -190,66 +204,70 @@ makeChainPlan(const std::vector<SweepJob> &shards)
 namespace
 {
 
-/** Run a single-pass group: one stream pass feeds every mechanism. */
-void
-runPass(const std::vector<SweepJob> &jobs, const Task &task,
-        SweepResult *out)
-{
-    const SweepJob &lead = jobs[task.first];
-    std::vector<MechanismSpec> specs;
-    specs.reserve(task.count);
-    for (std::uint32_t k = 0; k < task.count; ++k)
-        specs.push_back(jobs[task.first + k].spec);
-    auto stream = lead.workload.build(lead.refs);
-    std::vector<SimResult> counters =
-        simulateMany(lead.config, specs, *stream);
-    for (std::uint32_t k = 0; k < task.count; ++k) {
-        const SweepJob &job = jobs[task.first + k];
-        out[k].mode = job.mode;
-        out[k].workload = job.workload.label();
-        out[k].mechanism = job.spec.label();
-        out[k].functional = counters[k];
-    }
-}
-
 /**
- * Run one cell's shards as a chain: one simulator takes a single pass
- * over the stream and records each shard's window in turn, so shard k
- * starts warm from where shard k-1 stopped.  Per-shard results are
- * identical to what replay Cells would produce (same labels, same
- * counter windows), so the fold cannot tell the lowerings apart.  A
- * non-null @p hook additionally receives the snapshot at every window
- * boundary, so a persistent store warms future explicit-shard
- * requests for the cell.
+ * Run a Chain or a Pass: the jobs of one or more cells over one
+ * stream, cell-major, each cell in N windows (a Pass is N = 1).  One
+ * simulator runs every cell's mechanism and takes a single pass over
+ * the stream, recording each window for every cell in turn, so shard k
+ * of each cell starts warm from where shard k-1 stopped.  Per-shard
+ * results are identical to what replay Cells would produce (same
+ * labels, same counter windows), so the fold cannot tell the lowerings
+ * apart.  A non-null @p hook additionally receives every cell's
+ * snapshot at every window boundary, so a persistent store warms
+ * future explicit-shard requests for the cell.
  */
 void
-runShardChain(const std::vector<SweepJob> &jobs, const Task &task,
+runStreamPass(const std::vector<SweepJob> &jobs, const Task &task,
               CheckpointHook *hook, SweepResult *out)
 {
-    const SweepJob &lead = jobs[task.first];
-    const std::string cell = checkpointKey(lead, 0);
-    auto stream = lead.workload.base().build(lead.refs);
-    FunctionalSimulator sim(lead.config, lead.spec);
-    std::uint64_t pos = 0;
-    for (std::uint32_t k = 0; k < task.count; ++k) {
-        const SweepJob &job = jobs[task.first + k];
-        if (checkpointKey(job, 0) != cell)
+    const SweepJob *chain = &jobs[task.first];
+    const SweepJob &lead = chain[0];
+    // Cell-major: every cell is the lead's shard count of windows.
+    const std::uint32_t shards = lead.workload.shardCount;
+    if (task.count % shards != 0)
+        throw std::invalid_argument(
+            "shard chain of " + std::to_string(task.count) +
+            " jobs does not split into cells of " +
+            std::to_string(shards) + " shards");
+    std::vector<MechanismSpec> specs;
+    for (std::uint32_t j = 0; j < task.count; ++j) {
+        const SweepJob &job = chain[j];
+        const SweepJob &head = chain[j - j % shards];
+        if (checkpointKey(job, 0) != checkpointKey(head, 0))
             throw std::invalid_argument(
                 "shard chain mixes cells: '" + checkpointKey(job, 0) +
-                "' follows '" + cell + "'");
-        auto [begin, end] = job.workload.shardWindow(job.refs);
-        if (begin != pos)
+                "' follows '" + checkpointKey(head, 0) + "'");
+        if (!sameStream(job, lead))
             throw std::invalid_argument(
-                "shard chain windows are not contiguous (window "
-                "starts at " +
-                std::to_string(begin) + ", stream is at " +
-                std::to_string(pos) + ")");
-        out[k].mode = job.mode;
-        out[k].workload = job.workload.label();
-        out[k].mechanism = job.spec.label();
-        out[k].functional = simulateWindow(sim, *stream, end - begin);
-        if (hook)
-            hook->store(checkpointKey(job, end), sim.snapshot());
+                "shard chain cells do not share a stream: '" +
+                cellKey(job) + "' follows '" + cellKey(lead) + "'");
+        if (job.workload.shardCount != shards ||
+            job.workload.shardIndex != j % shards)
+            throw std::invalid_argument(
+                "shard chain windows are not contiguous ('" +
+                job.workload.label() + "' at position " +
+                std::to_string(j % shards) + " of its cell)");
+        if (j % shards == 0)
+            specs.push_back(job.spec);
+    }
+
+    auto stream = lead.workload.base().build(lead.refs);
+    FunctionalSimulator sim(lead.config, specs);
+    std::uint64_t pos = 0;
+    for (std::uint32_t k = 0; k < shards; ++k) {
+        std::uint64_t end = chain[k].workload.shardWindow(lead.refs).second;
+        std::vector<SimResult> deltas =
+            simulateWindow(sim, *stream, end - pos);
+        for (std::size_t c = 0; c < specs.size(); ++c) {
+            const SweepJob &job = chain[c * shards + k];
+            SweepResult &result = out[c * shards + k];
+            result.mode = job.mode;
+            result.workload = job.workload.label();
+            result.mechanism = job.spec.label();
+            result.functional = deltas[c];
+            if (hook)
+                hook->store(checkpointKey(job, end), sim.snapshot(c));
+        }
         pos = end;
     }
 }
@@ -262,9 +280,9 @@ runTask(const Plan &plan, const Task &task, CheckpointHook *hook,
 {
     const std::vector<SweepJob> &jobs = plan.jobs();
     if (task.kind == TaskKind::Pass)
-        runPass(jobs, task, out);
+        runStreamPass(jobs, task, nullptr, out); // banks no checkpoint
     else if (task.kind == TaskKind::Chain)
-        runShardChain(jobs, task, hook, out);
+        runStreamPass(jobs, task, hook, out);
     else
         *out = runSweepJob(jobs[task.first], hook);
 }

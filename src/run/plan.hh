@@ -15,14 +15,18 @@
  *   Cell   one job through runSweepJob(job, hook)   costWeight()
  *   Pass   consecutive functional cells sharing a   costWeight() x width
  *          workload, budget and geometry, through
- *          one simulateMany stream pass
- *   Chain  one cell's shards in stream order, each  max(refs, 1)
- *          warmed by the previous shard's snapshot
+ *          one stream pass for all their mechanisms
+ *   Chain  the shards of one or more cells over     max(refs, 1) x cells
+ *          one stream, cell-major: one simulator
+ *          for all their mechanisms steps through
+ *          the windows in stream order, so each
+ *          shard starts warm from the one before
  *
  * PassMode and ShardWarmup only choose the lowering; every lowering
- * gives bit-identical results.  A Pass never spans shards: a chained
- * single pass would need every mechanism's snapshot from one shared
- * front end.
+ * gives bit-identical results.  Under SinglePass adjacent chains over
+ * one stream and fan-out merge into one Chain, which runs its
+ * mechanisms on one thread as a Pass does; PerMechanism keeps one
+ * Chain per cell.
  */
 
 #ifndef TLBPF_RUN_PLAN_HH
@@ -46,8 +50,9 @@ enum class ShardWarmup
     /** Every shard replays its prefix: independent Cells (best
      *  wall-clock on many cores, ~(N+1)/2x total CPU). */
     Replay,
-    /** A cell's shards are one Chain (~1x total work); a mechanism
-     *  without checkpoint hooks falls back to replay Cells. */
+    /** Shards are chained (~1x total work): one Chain per cell, or
+     *  per stream under SinglePass; a mechanism without checkpoint
+     *  hooks falls back to replay Cells. */
     Checkpoint
 };
 
@@ -55,7 +60,8 @@ enum class ShardWarmup
 enum class PassMode
 {
     PerMechanism, ///< every cell drains its own stream
-    SinglePass    ///< adjacent same-stream functional cells: one Pass
+    SinglePass    ///< adjacent same-stream functional cells: one Pass,
+                  ///< or one Chain when sharded
 };
 
 /** Canonical flag value: "per-mechanism" or "single-pass". */
@@ -107,8 +113,9 @@ enum class TaskKind
 };
 
 /**
- * One schedulable unit of a Plan.  It either covers whole emit groups
- * of one job each, or lies inside one fanned-out cell's group.
+ * One schedulable unit of a Plan.  It covers whole emit groups of one
+ * job each (Cell, Pass), whole fanned-out groups (Chain), or lies
+ * inside one fanned-out cell's group (a replay shard Cell).
  */
 struct Task
 {
@@ -135,9 +142,10 @@ Plan makePlan(std::vector<SweepJob> &&, std::uint32_t, ShardWarmup,
 Plan makePlan(ShardPlan expanded, ShardWarmup warmup, PassMode mode);
 
 /**
- * One Chain over the shards of one cell, given in stream order, that
- * reports every shard's own result — how a worker runs a chained
- * lease, whose shards the dispatcher folds.  Borrows @p shards.
+ * One Chain over the shards of one or more cells over one stream,
+ * cell-major and each cell's in stream order, that reports every
+ * shard's own result — how a worker runs a chained lease, whose shards
+ * the dispatcher folds.  Borrows @p shards.
  */
 Plan makeChainPlan(const std::vector<SweepJob> &shards);
 Plan makeChainPlan(std::vector<SweepJob> &&) = delete;
@@ -182,8 +190,9 @@ class Plan
 /**
  * Execute @p task on the calling thread, writing its task.count
  * results to @p out.  Cells consult @p hook (may be null) and Chains
- * deposit every window-boundary state in it.  Throws
- * std::invalid_argument for a malformed job.
+ * deposit every cell's window-boundary state in it.  Throws
+ * std::invalid_argument for a malformed job or a chain whose cells do
+ * not share a stream and windows.
  */
 void runTask(const Plan &plan, const Task &task, CheckpointHook *hook,
              SweepResult *out);

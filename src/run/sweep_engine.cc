@@ -86,7 +86,8 @@ runSweepJob(const SweepJob &job)
         auto stream = job.workload.base().build(job.refs);
         FunctionalSimulator sim(job.config, job.spec);
         simulateWindow(sim, *stream, begin); // replay warm-up
-        result.functional = simulateWindow(sim, *stream, end - begin);
+        result.functional =
+            simulateWindow(sim, *stream, end - begin).front();
         return result;
     }
 
@@ -143,7 +144,8 @@ runSweepJob(const SweepJob &job, CheckpointHook *hook)
     // Record the window from a simulator warmed to `begin` and bank the
     // state it ends in.
     auto record = [&](FunctionalSimulator &sim, RefStream &stream) {
-        result.functional = simulateWindow(sim, stream, end - begin);
+        result.functional =
+            simulateWindow(sim, stream, end - begin).front();
         hook->store(checkpointKey(job, end), sim.snapshot());
         return result;
     };
@@ -225,13 +227,13 @@ PlanResults::slots(const Task &task)
 void
 PlanResults::complete(const Task &task)
 {
-    if (_plan.groupSizes()[task.group] == 1) {
+    const std::vector<std::uint32_t> &sizes = _plan.groupSizes();
+    if (sizes[task.group] == 1) {
         // The task covers task.count whole groups of one job, already
         // in place; the emitter checks no slot completes twice.
         _emitter.complete(task.group, task.count);
         return;
     }
-    Fold &fold = _folds[task.group];
     if (dchecksEnabled()) {
         for (std::uint32_t k = 0; k < task.count; ++k) {
             bool again = _jobDone[task.first + k].exchange(true);
@@ -239,22 +241,39 @@ PlanResults::complete(const Task &task)
                              " completed twice");
         }
     }
-    std::uint32_t before =
-        fold.remaining.fetch_sub(task.count, std::memory_order_acq_rel);
-    TLBPF_DCHECK_MSG(before >= task.count, "group ", task.group,
-                     " countdown underflows: ", task.count,
-                     " shards landed with ", before, " outstanding");
-    if (before != task.count)
-        return;
-    // The cell's last shard: sum the windows into the unsharded cell.
-    SweepResult &folded = _results[task.group];
-    const SweepJob &lead = _plan.jobs()[fold.first];
-    folded.mode = lead.mode;
-    folded.workload = lead.workload.base().label();
-    folded.mechanism = lead.spec.label();
-    for (std::uint32_t k = 0; k < _plan.groupSizes()[task.group]; ++k)
-        addCounters(folded.functional, _shards[fold.first + k].functional);
-    _emitter.complete(task.group, 1);
+    // The task lies inside one fanned-out cell's group (a replay
+    // shard) or covers whole ones (a chain): count each group down by
+    // the shards the task landed in it.
+    std::size_t job = task.first;
+    for (std::size_t g = task.group; job < task.first + task.count;
+         ++g) {
+        TLBPF_DCHECK_MSG(g < sizes.size(), "task at job ", task.first,
+                         " runs past the last group");
+        Fold &fold = _folds[g];
+        std::uint32_t landed = static_cast<std::uint32_t>(
+            std::min<std::size_t>(task.first + task.count,
+                                  fold.first + sizes[g]) -
+            job);
+        job += landed;
+        std::uint32_t before =
+            fold.remaining.fetch_sub(landed, std::memory_order_acq_rel);
+        TLBPF_DCHECK_MSG(before >= landed, "group ", g,
+                         " countdown underflows: ", landed,
+                         " shards landed with ", before, " outstanding");
+        if (before != landed)
+            continue;
+        // The cell's last shard: sum the windows into the unsharded
+        // cell.
+        SweepResult &folded = _results[g];
+        const SweepJob &lead = _plan.jobs()[fold.first];
+        folded.mode = lead.mode;
+        folded.workload = lead.workload.base().label();
+        folded.mechanism = lead.spec.label();
+        for (std::uint32_t k = 0; k < sizes[g]; ++k)
+            addCounters(folded.functional,
+                        _shards[fold.first + k].functional);
+        _emitter.complete(g, 1);
+    }
 }
 
 std::vector<SweepResult>

@@ -135,17 +135,27 @@ cellResult(const SimFrontEnd &front, const MechanismBackEnd &back)
 
 FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
                                          const MechanismSpec &spec)
-    : _mechLabel(spec.label()),
-      _front(config),
-      _back(config, spec, _front.pageTable())
+    : FunctionalSimulator(config, std::vector<MechanismSpec>{spec})
 {
 }
 
-const SimResult &
-FunctionalSimulator::result()
+FunctionalSimulator::FunctionalSimulator(
+    const SimConfig &config, const std::vector<MechanismSpec> &specs)
+    : _front(config), _tables(specs.size()), _results(specs.size())
 {
-    _result = cellResult(_front, _back);
-    return _result;
+    _backs.reserve(specs.size());
+    _labels.reserve(specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        _backs.emplace_back(config, specs[i], _tables[i]);
+        _labels.push_back(specs[i].label());
+    }
+}
+
+const SimResult &
+FunctionalSimulator::result(std::size_t i)
+{
+    _results[i] = cellResult(_front, _backs[i]);
+    return _results[i];
 }
 
 namespace
@@ -188,20 +198,22 @@ readCounters(SnapshotReader &in, SimResult &r)
 } // namespace
 
 bool
-FunctionalSimulator::checkpointable() const
+FunctionalSimulator::checkpointable(std::size_t i) const
 {
-    return !_back.prefetcher() || _back.prefetcher()->checkpointable();
+    const Prefetcher *prefetcher = _backs[i].prefetcher();
+    return !prefetcher || prefetcher->checkpointable();
 }
 
 SimState
-FunctionalSimulator::snapshot() const
+FunctionalSimulator::snapshot(std::size_t i) const
 {
-    if (!checkpointable())
+    if (!checkpointable(i))
         throw std::invalid_argument(
-            "mechanism '" + _mechLabel +
+            "mechanism '" + _labels[i] +
             "' does not support checkpointing; use replay warm-up");
     const SimConfig &config = _front.config();
-    const Prefetcher *prefetcher = _back.prefetcher();
+    const MechanismBackEnd &back = _backs[i];
+    const Prefetcher *prefetcher = back.prefetcher();
     SnapshotWriter out;
     // Rough upper bound on the serialized size: page table entries
     // dominate (33 bytes each), then TLB slots and buffer nodes.
@@ -219,15 +231,15 @@ FunctionalSimulator::snapshot() const
     out.u64(config.pageBytes);
     out.boolean(config.trainOnAllRefs);
     out.u64(config.contextSwitchInterval);
-    out.str(_mechLabel);
+    out.str(_labels[i]);
 
-    SimResult counters = cellResult(_front, _back);
-    counters.footprintPages = _result.footprintPages;
-    counters.pbEvictedUnused = _result.pbEvictedUnused;
+    SimResult counters = cellResult(_front, back);
+    counters.footprintPages = _results[i].footprintPages;
+    counters.pbEvictedUnused = _results[i].pbEvictedUnused;
     writeCounters(out, counters);
     _front.tlb().snapshotState(out);
-    _back.buffer().snapshotState(out);
-    _front.pageTable().snapshotState(out);
+    back.buffer().snapshotState(out);
+    _front.pageTable().snapshotState(out, _tables[i]);
     out.boolean(prefetcher != nullptr);
     if (prefetcher)
         prefetcher->snapshotState(out);
@@ -237,6 +249,10 @@ FunctionalSimulator::snapshot() const
 void
 FunctionalSimulator::restore(const SimState &state)
 {
+    if (_backs.size() != 1)
+        throw std::invalid_argument(
+            "restore() needs a one-mechanism simulator, this one runs " +
+            std::to_string(_backs.size()));
     SnapshotReader in(state.bytes);
     if (in.u32() != kSnapshotMagic)
         SnapshotReader::fail("bad magic (not a simulator checkpoint)");
@@ -253,27 +269,29 @@ FunctionalSimulator::restore(const SimState &state)
         in.u64() != config.contextSwitchInterval)
         SnapshotReader::fail(
             "simulator configuration does not match the checkpoint");
-    if (std::string mech = in.str(); mech != _mechLabel)
+    const std::string &label = _labels.front();
+    if (std::string mech = in.str(); mech != label)
         SnapshotReader::fail("checkpoint was taken under mechanism '" +
-                             mech + "', this simulator runs '" +
-                             _mechLabel + "'");
+                             mech + "', this simulator runs '" + label +
+                             "'");
 
-    readCounters(in, _result);
-    const SimResult &r = _result;
+    MechanismBackEnd &back = _backs.front();
+    readCounters(in, _results.front());
+    const SimResult &r = _results.front();
     _front.counters() = SimResult{.refs = r.refs,
                                   .misses = r.misses,
                                   .contextSwitches = r.contextSwitches};
-    _back.counters() =
+    back.counters() =
         SimResult{.pbHits = r.pbHits,
                   .demandFetches = r.demandFetches,
                   .prefetchesIssued = r.prefetchesIssued,
                   .prefetchesSuppressed = r.prefetchesSuppressed,
                   .stateOps = r.stateOps};
     _front.tlb().restoreState(in);
-    _back.buffer().restoreState(in);
-    // Before the mechanism: RP's links live in the page table.
-    _front.pageTable().restoreState(in);
-    Prefetcher *prefetcher = _back.prefetcher();
+    back.buffer().restoreState(in);
+    // Before the mechanism: RP's links live in the back end's table.
+    _front.pageTable().restoreState(in, _tables.front());
+    Prefetcher *prefetcher = back.prefetcher();
     bool has_prefetcher = in.boolean();
     if (has_prefetcher != (prefetcher != nullptr))
         SnapshotReader::fail(
@@ -290,7 +308,7 @@ FunctionalSimulator::restore(const SimState &state)
     // skew every downstream window; catch it at the boundary.
     TLBPF_DCHECK_MSG(snapshot().bytes == state.bytes,
                      "restore() is not the inverse of snapshot() for "
-                     "mechanism '", _mechLabel, "'");
+                     "mechanism '", label, "'");
 }
 
 SimResult
@@ -298,38 +316,15 @@ simulate(const SimConfig &config, const MechanismSpec &spec,
          RefStream &stream)
 {
     FunctionalSimulator sim(config, spec);
-    std::vector<MemRef> block(kSimBatchRefs);
-    std::size_t got;
-    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (std::size_t i = 0; i < got; ++i)
-            sim.process(block[i]);
-    }
-    return sim.result();
+    return simulateWindow(sim, stream, UINT64_MAX).front();
 }
 
 std::vector<SimResult>
 simulateMany(const SimConfig &config,
              const std::vector<MechanismSpec> &specs, RefStream &stream)
 {
-    SimFrontEnd front(config);
-    // One private page table per mechanism, sized up front so none
-    // relocates: a prefetcher holds a reference to its table.
-    std::vector<PageTable> tables(specs.size());
-    std::vector<MechanismBackEnd> backs;
-    backs.reserve(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i)
-        backs.emplace_back(config, specs[i], tables[i]);
-    std::vector<MemRef> block(kSimBatchRefs);
-    std::size_t got;
-    while ((got = stream.nextBatch(block.data(), block.size())) > 0) {
-        for (std::size_t i = 0; i < got; ++i)
-            front.process(block[i], backs);
-    }
-    std::vector<SimResult> results;
-    results.reserve(backs.size());
-    for (const MechanismBackEnd &back : backs)
-        results.push_back(cellResult(front, back));
-    return results;
+    FunctionalSimulator sim(config, specs);
+    return simulateWindow(sim, stream, UINT64_MAX);
 }
 
 void
@@ -372,11 +367,13 @@ counterDelta(const SimResult &end, const SimResult &start)
 
 } // namespace
 
-SimResult
+std::vector<SimResult>
 simulateWindow(FunctionalSimulator &sim, RefStream &stream,
                std::uint64_t take)
 {
-    SimResult start = sim.result();
+    std::vector<SimResult> deltas(sim.mechanisms());
+    for (std::size_t i = 0; i < deltas.size(); ++i)
+        deltas[i] = sim.result(i);
     std::vector<MemRef> block(kSimBatchRefs);
     std::uint64_t processed = 0;
     while (processed < take) {
@@ -389,14 +386,16 @@ simulateWindow(FunctionalSimulator &sim, RefStream &stream,
         if (got < want)
             break;
     }
-    SimResult delta = counterDelta(sim.result(), start);
-    // Window attribution: every reference fed in this window — and
-    // none from the warm-up before it — lands in the delta, or sharded
-    // merges would drift from the unsharded run.
-    TLBPF_DCHECK_MSG(delta.refs == processed,
-                     "window of ", processed, " refs recorded ",
-                     delta.refs, " in its counter delta");
-    return delta;
+    for (std::size_t i = 0; i < deltas.size(); ++i) {
+        deltas[i] = counterDelta(sim.result(i), deltas[i]);
+        // Window attribution: every reference fed in this window — and
+        // none from the warm-up before it — lands in the delta, or
+        // sharded merges would drift from the unsharded run.
+        TLBPF_DCHECK_MSG(deltas[i].refs == processed,
+                         "window of ", processed, " refs recorded ",
+                         deltas[i].refs, " in its counter delta");
+    }
+    return deltas;
 }
 
 } // namespace tlbpf

@@ -18,8 +18,9 @@
  *
  * Steps 1 and 3 do not depend on the mechanism, so they live in a
  * SimFrontEnd and the rest in a MechanismBackEnd: a FunctionalSimulator
- * is one of each, and a single-pass sweep (simulateMany) drives N back
- * ends from one front end.
+ * is one front end driving one back end per mechanism, so a
+ * single-pass sweep or shard chain simulates the TLB once for all of
+ * them.
  */
 
 #ifndef TLBPF_SIM_FUNCTIONAL_SIM_HH
@@ -233,64 +234,95 @@ class MechanismBackEnd
     SimResult _counters;
 };
 
-/** Stepping functional simulator: one front end, one back end. */
+/**
+ * Stepping functional simulator: one front end driving one back end
+ * per mechanism, each prefetcher over its own page table.  With one
+ * mechanism it is the per-cell simulator; simulate() and
+ * simulateMany() run it to the end of a stream, and a shard chain
+ * steps it one window at a time (simulateWindow) and snapshots every
+ * back end at each window boundary.
+ *
+ * Sharing the front end is exact:
+ *   - prefetches land in each mechanism's own buffer and never enter
+ *     the TLB, so the TLB's hit/miss/eviction sequence is the same
+ *     under every mechanism;
+ *   - the page-table entries a one-mechanism run creates are exactly
+ *     the missed pages, so the front end's table size is every
+ *     mechanism's footprint.
+ * Only RP writes page-table entries, and its stack creates every entry
+ * it touches, so a private table per back end holds exactly the link
+ * words RP would have written into a shared one.
+ */
 class FunctionalSimulator
 {
   public:
     FunctionalSimulator(const SimConfig &config,
                         const MechanismSpec &spec);
+    FunctionalSimulator(const SimConfig &config,
+                        const std::vector<MechanismSpec> &specs);
 
-    /** Feed one reference. */
-    void
-    process(const MemRef &ref)
-    {
-        _front.process(ref, std::span<MechanismBackEnd>(&_back, 1));
-    }
+    /** Feed one reference to every mechanism. */
+    void process(const MemRef &ref) { _front.process(ref, _backs); }
 
-    /** Counters so far (footprint refreshed on each call). */
-    const SimResult &result();
+    /** Number of back ends (mechanisms), in construction order. */
+    std::size_t mechanisms() const { return _backs.size(); }
+
+    /** Counters of mechanism @p i so far (footprint refreshed). */
+    const SimResult &result(std::size_t i = 0);
 
     /**
-     * True if the whole simulator state can round-trip through
-     * snapshot()/restore(): always, unless the mechanism is an
+     * True if mechanism @p i's whole simulator state can round-trip
+     * through snapshot()/restore(): always, unless the mechanism is an
      * open-registry entry that has not opted into checkpointing
      * (Prefetcher::checkpointable()).
      */
-    bool checkpointable() const;
+    bool checkpointable(std::size_t i = 0) const;
 
     /**
-     * Serialize the exact simulator state.  Continuing a restored
-     * simulator over the same remaining reference stream reproduces
-     * the uninterrupted run's counters bit-for-bit.  Throws
-     * std::invalid_argument if !checkpointable().
+     * Serialize the exact state of a one-mechanism simulator running
+     * mechanism @p i: the front end's counters, TLB and translations
+     * plus back end @p i's counters, buffer, link words and prediction
+     * state.  The bytes equal those of a FunctionalSimulator built for
+     * that mechanism alone at the same position.  Continuing a
+     * restored simulator over the same remaining reference stream
+     * reproduces the uninterrupted run's counters bit-for-bit.
+     * Footprint and pbEvictedUnused are recorded as of the last
+     * result(i).  Throws std::invalid_argument if !checkpointable(i).
      */
-    SimState snapshot() const;
+    SimState snapshot(std::size_t i = 0) const;
 
     /**
-     * Restore state captured by snapshot() on a simulator with the
-     * same configuration and mechanism; throws std::invalid_argument
-     * on a truncated/foreign checkpoint or a config/mechanism
-     * mismatch.
+     * Restore state captured by snapshot() into a one-mechanism
+     * simulator with the same configuration and mechanism; throws
+     * std::invalid_argument on a truncated/foreign checkpoint, a
+     * config/mechanism mismatch, or a multi-mechanism simulator.
      */
     void restore(const SimState &state);
 
     const Tlb &tlb() const { return _front.tlb(); }
-    const PrefetchBuffer &buffer() const { return _back.buffer(); }
+    /** The first mechanism's buffer. */
+    const PrefetchBuffer &buffer() const { return _backs.front().buffer(); }
+    /** The front end's translations; link words live per back end. */
     const PageTable &pageTable() const { return _front.pageTable(); }
-    Prefetcher *prefetcher() { return _back.prefetcher(); }
+    /** The first mechanism's prefetcher. */
+    Prefetcher *prefetcher() { return _backs.front().prefetcher(); }
 
   private:
-    std::string _mechLabel;
     SimFrontEnd _front;
-    /** Built over _front's page table, which RP's links live in. */
-    MechanismBackEnd _back;
     /**
-     * The counters as last returned by result().  A checkpoint records
-     * the derived footprintPages and pbEvictedUnused from here rather
-     * than live, which keeps its bytes identical to the checkpoints
-     * already in on-disk stores.
+     * One private page table per back end, sized up front so none
+     * relocates: a prefetcher holds a reference to its table.
      */
-    SimResult _result;
+    std::vector<PageTable> _tables;
+    std::vector<MechanismBackEnd> _backs;
+    std::vector<std::string> _labels;
+    /**
+     * The counters as last returned by result(i).  A checkpoint
+     * records the derived footprintPages and pbEvictedUnused from here
+     * rather than live, which keeps its bytes identical to the
+     * checkpoints already in on-disk stores.
+     */
+    std::vector<SimResult> _results;
 };
 
 /**
@@ -306,22 +338,11 @@ SimResult simulate(const SimConfig &config, const MechanismSpec &spec,
 
 /**
  * Run @p stream to exhaustion once under every mechanism in @p specs:
- * the single-pass multi-mechanism mode.  One SimFrontEnd runs the TLB
- * and page table for all of them and hands each reference's outcome to
- * one MechanismBackEnd per spec, in order.  Result i is bit-identical
- * to simulate(config, specs[i], stream) over a fresh stream, because
- * sharing the front end is exact:
- *   - prefetches land in each mechanism's own buffer and never enter
- *     the TLB, so the TLB's hit/miss/eviction sequence is the same
- *     under every mechanism;
- *   - the page-table entries simulate() creates are exactly the
- *     missed pages, so the shared table's size is every cell's
- *     footprint.
- * Each prefetcher is built over a private page table rather than the
- * shared one.  Only RP writes page-table entries, and its stack creates
- * every entry it touches.  The stream is generated or decoded once and
- * the TLB and page table are simulated once, instead of specs.size()
- * times.
+ * the single-pass multi-mechanism mode.  Result i is bit-identical to
+ * simulate(config, specs[i], stream) over a fresh stream (see
+ * FunctionalSimulator), but the stream is generated or decoded once
+ * and the TLB and page table are simulated once, instead of
+ * specs.size() times.
  */
 std::vector<SimResult> simulateMany(const SimConfig &config,
                                     const std::vector<MechanismSpec> &specs,
@@ -338,16 +359,17 @@ void addCounters(SimResult &into, const SimResult &from);
 
 /**
  * Feed @p sim the next @p take references of @p stream (fewer if the
- * stream ends) and return the counter delta over them: one *window*
- * of a sharded cell.  Shard k of N records window
- * [k*refs/N, (k+1)*refs/N) of a simulator warmed to the window start,
- * by replaying the prefix through this same call or by restoring the
- * snapshot() taken there, so the merged windows equal the unsharded
- * run exactly.  Leaves @p sim's result() current, so a snapshot()
- * taken right after records the end-of-window state.
+ * stream ends) and return each mechanism's counter delta over them:
+ * one *window* of a sharded cell per mechanism.  Shard k of N records
+ * window [k*refs/N, (k+1)*refs/N) of a simulator warmed to the window
+ * start, by replaying the prefix through this same call or by
+ * restoring the snapshot() taken there, so the merged windows equal
+ * the unsharded run exactly.  Leaves every result(i) current, so a
+ * snapshot(i) taken right after records the end-of-window state.
  */
-SimResult simulateWindow(FunctionalSimulator &sim, RefStream &stream,
-                         std::uint64_t take);
+std::vector<SimResult> simulateWindow(FunctionalSimulator &sim,
+                                      RefStream &stream,
+                                      std::uint64_t take);
 
 } // namespace tlbpf
 

@@ -19,6 +19,7 @@
 
 #include "run/result_sink.hh"
 #include "run/sweep_engine.hh"
+#include "service/store_util.hh"
 #include "sim/experiment.hh"
 #include "util/table_printer.hh"
 #include "workload/app_registry.hh"
@@ -287,9 +288,14 @@ TEST(Checkpoint, MismatchedRestoreThrows)
 /**
  * A chain runs its shards on one simulator and snapshots it only for
  * the hook.  Every state a 4-shard checkpoint plan stores must be
- * byte-identical to the snapshot() of one uninterrupted simulator
- * stopped at the same position, so the states a chain persists warm
- * later explicit-shard requests exactly.
+ * byte-identical to the snapshot() of one uninterrupted per-mechanism
+ * simulator stopped at the same position, so the states a chain
+ * persists warm later explicit-shard requests exactly.  A single-pass
+ * plan runs the whole batch as one chain over the shared front end,
+ * yet must store exactly the per-mechanism chains' key->bytes map, in
+ * every geometry a checkpoint records.  The digests pin the format
+ * itself: they were taken from the per-cell simulator before the
+ * shared front end took over.
  */
 TEST(Checkpoint, ChainStoresTheUninterruptedSimulatorsBytes)
 {
@@ -309,29 +315,93 @@ TEST(Checkpoint, ChainStoresTheUninterruptedSimulatorsBytes)
         std::mutex _mutex;
     };
 
-    for (const char *mech : {"rp", "DP,256,D", "hybrid(dp+sp)"}) {
-        SweepJob job = SweepJob::functional(
-            WorkloadSpec::app("mcf"), MechanismSpec::parse(mech), kRefs);
-        RecordingHook hook;
-        SweepEngine engine(1);
-        engine.setCheckpointHook(&hook);
-        (void)engine.runSharded({job}, 4, ShardWarmup::Checkpoint);
-        EXPECT_EQ(hook.stored.size(), 4u) << mech;
+    constexpr std::uint64_t kChainRefs = 20000;
+    const std::vector<MechanismSpec> mechs = {
+        MechanismSpec::parse("rp"),
+        MechanismSpec::parse("rp(reach=2)"),
+        MechanismSpec::parse("DP,256,D"),
+        MechanismSpec::parse("MP,256,F"),
+        MechanismSpec::parse("hybrid(dp+sp)"),
+        MechanismSpec::parse("hybrid(RP+DP,256,D)"),
+        MechanismSpec::parse("ASQ")};
+    std::vector<SimConfig> configs(4);
+    configs[1].contextSwitchInterval = 3000;
+    configs[2].trainOnAllRefs = true;
+    configs[3].pbEntries = 4;
+    configs[3].tlb = TlbConfig{64, 4};
+    auto refs = collect(*WorkloadSpec::app("mcf").build(kChainRefs),
+                        kChainRefs);
+    ASSERT_EQ(refs.size(), kChainRefs);
 
-        auto refs = collect(*job.workload.build(kRefs), kRefs);
-        FunctionalSimulator sim(job.config, job.spec);
-        std::uint64_t pos = 0;
-        for (std::uint32_t k = 0; k < 4; ++k) {
-            std::uint64_t end =
-                job.workload.withShard(k, 4).shardWindow(kRefs).second;
-            for (; pos < end; ++pos)
-                sim.process(refs[pos]);
-            (void)sim.result(); // a snapshot records result()'s counters
-            auto stored = hook.stored.find(checkpointKey(job, end));
-            ASSERT_NE(stored, hook.stored.end()) << mech << " at " << end;
-            EXPECT_EQ(stored->second, sim.snapshot().bytes)
-                << mech << " at " << end;
+    std::map<std::string, std::vector<std::uint8_t>> defaults;
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        std::vector<SweepJob> jobs;
+        for (const MechanismSpec &spec : mechs)
+            jobs.push_back(SweepJob::functional(
+                WorkloadSpec::app("mcf"), spec, kChainRefs, configs[c]));
+        std::map<PassMode, RecordingHook> hooks;
+        for (PassMode mode : {PassMode::SinglePass, PassMode::PerMechanism}) {
+            Plan plan = makePlan(jobs, 4, ShardWarmup::Checkpoint, mode);
+            EXPECT_EQ(plan.tasks().size(),
+                      mode == PassMode::SinglePass ? 1u : mechs.size())
+                << "config " << c;
+            SweepEngine engine(1);
+            engine.setCheckpointHook(&hooks[mode]);
+            (void)engine.run(plan);
         }
+        const auto &stored = hooks[PassMode::SinglePass].stored;
+        EXPECT_EQ(stored.size(), 4 * mechs.size()) << "config " << c;
+        EXPECT_TRUE(stored == hooks[PassMode::PerMechanism].stored)
+            << "config " << c
+            << ": single-pass and per-mechanism chains store different "
+               "checkpoints";
+
+        for (const SweepJob &job : jobs) {
+            const std::string mech = job.spec.label();
+            FunctionalSimulator sim(job.config, job.spec);
+            std::uint64_t pos = 0;
+            for (std::uint32_t k = 0; k < 4; ++k) {
+                std::uint64_t end = job.workload.withShard(k, 4)
+                                        .shardWindow(kChainRefs)
+                                        .second;
+                for (; pos < end; ++pos)
+                    sim.process(refs[pos]);
+                (void)sim.result(); // a snapshot records result()'s counters
+                auto found = stored.find(checkpointKey(job, end));
+                ASSERT_NE(found, stored.end())
+                    << mech << " at " << end << ", config " << c;
+                EXPECT_EQ(found->second, sim.snapshot().bytes)
+                    << mech << " at " << end << ", config " << c;
+            }
+        }
+        if (c == 0)
+            defaults = stored;
+    }
+
+    // The v1 format, pinned: size and contentAddress() of the bytes
+    // stored at position 10000 (end of shard 2 of 4) under the default
+    // geometry.
+    struct Pin
+    {
+        const char *mech;
+        std::size_t bytes;
+        const char *digest;
+    };
+    for (const Pin &pin : {Pin{"rp", 33232, "3e6bc4bbfd8d69b3"},
+                           Pin{"hybrid(RP+DP,256,D)", 34163,
+                               "55f13cc9e24d90f2"},
+                           Pin{"DP,256,D", 34128, "11afa401937f57c7"},
+                           Pin{"MP,256,F", 43758, "d9a70f7040c0c544"}}) {
+        SweepJob job = SweepJob::functional(
+            WorkloadSpec::app("mcf"), MechanismSpec::parse(pin.mech),
+            kChainRefs);
+        auto found = defaults.find(checkpointKey(job, 10000));
+        ASSERT_NE(found, defaults.end()) << pin.mech;
+        EXPECT_EQ(found->second.size(), pin.bytes) << pin.mech;
+        EXPECT_EQ(contentAddress(std::string(found->second.begin(),
+                                             found->second.end())),
+                  pin.digest)
+            << pin.mech;
     }
 }
 

@@ -4,10 +4,12 @@
  * (strict encode/decode), the Dispatcher's lease lifecycle under
  * failure (dead worker mid-lease, expired lease discarded without
  * double-counting, heartbeats keeping a slow-but-alive worker's work,
- * worker-side errors requeueing local-only, chains and single-pass
- * groups granted alone and merged bit-identically), one byte-identity
- * matrix over every lowering of a mixed batch and every fleet size,
- * the server's worker sessions (malformed cell_result drops only that
+ * worker-side errors requeueing local-only, chains — a stream's
+ * multi-cell chain included — and single-pass groups granted alone and
+ * merged bit-identically), the worker's runner on hand-made chain
+ * grants (per-shard answers, an error for cells that do not share a
+ * stream), one byte-identity matrix over every lowering of a mixed
+ * batch and every fleet size, the server's worker sessions (malformed cell_result drops only that
  * worker; --max-clients sheds with an error frame; concurrent clients
  * account a shared cache exactly; a worker fleet produces
  * byte-identical sweeps), and the disk-store eviction sweep (TTL, LRU
@@ -639,6 +641,108 @@ TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
         EXPECT_EQ(results[i].functional, direct[i].functional)
             << "cell " << i;
     dispatcher.unregisterWorker(worker);
+}
+
+/**
+ * Under single-pass lowering a stream's chains are one task: the
+ * shards of every cell over that stream, cell-major.  It travels as
+ * one chain:true lease, the worker's own runner answers it, and the
+ * dispatcher folds every cell it covers.
+ */
+TEST(Dispatcher, MultiCellChainIsGrantedWholeAndFoldsEveryCell)
+{
+    SweepEngine engine(1);
+    DispatcherOptions options;
+    options.leaseTimeoutMs = 60000;
+    Dispatcher dispatcher(engine, options);
+
+    std::vector<SweepJob> jobs =
+        functionalGrid({"gcc", "mcf"}, {"rp", "dp", "sp"}, kSlowRefs);
+    Plan plan =
+        makePlan(jobs, 4, ShardWarmup::Checkpoint, PassMode::SinglePass);
+    ASSERT_EQ(plan.tasks().size(), 2u);
+
+    std::uint64_t worker = dispatcher.registerWorker(1);
+    std::atomic<bool> batch_done{false};
+    std::vector<SweepResult> results;
+    std::thread batch([&] {
+        results = dispatcher.runBatch(
+            plan, [](std::size_t, const SweepResult &) {});
+        batch_done.store(true);
+    });
+
+    LeaseGrant grant;
+    ASSERT_TRUE(leaseSoon(dispatcher, worker, grant, batch_done));
+    EXPECT_TRUE(grant.chain);
+    ASSERT_EQ(grant.jobs.size(), 12u);
+    SweepEngine mine(1);
+    CellResultMsg answer = runLease(mine, grant);
+    ASSERT_FALSE(answer.failed()) << answer.error;
+    EXPECT_TRUE(dispatcher.completeLease(grant.lease,
+                                         std::move(answer.results)));
+    batch.join();
+    EXPECT_EQ(dispatcher.lastBatchStats().remoteCells, 12u);
+
+    std::vector<SweepResult> direct = engine.run(jobs);
+    ASSERT_EQ(results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+        EXPECT_EQ(results[i].functional, direct[i].functional)
+            << "cell " << i;
+    dispatcher.unregisterWorker(worker);
+}
+
+/**
+ * The worker's runner on a hand-made chain grant of three cells x four
+ * shards: one answer per job, in grant order, each equal to the
+ * engine's result for that shard job run on its own.
+ */
+TEST(WorkerLease, MultiCellChainAnswersTheEnginesShardResults)
+{
+    LeaseGrant grant;
+    grant.lease = 7;
+    grant.chain = true;
+    grant.jobs =
+        expandShards(functionalGrid({"gcc"}, {"rp", "DP,256,D", "sp"}), 4)
+            .jobs;
+    ASSERT_EQ(grant.jobs.size(), 12u);
+
+    SweepEngine engine(1);
+    CellResultMsg answer = runLease(engine, grant);
+    ASSERT_FALSE(answer.failed()) << answer.error;
+    EXPECT_EQ(answer.lease, 7u);
+    std::vector<SweepResult> shards = engine.run(grant.jobs);
+    ASSERT_EQ(answer.results.size(), shards.size());
+    for (std::size_t i = 0; i < shards.size(); ++i) {
+        EXPECT_EQ(answer.results[i].workload, shards[i].workload);
+        EXPECT_EQ(answer.results[i].mechanism, shards[i].mechanism);
+        EXPECT_EQ(answer.results[i].functional, shards[i].functional)
+            << "job " << i;
+    }
+}
+
+/**
+ * Cells that differ in reference budget do not share a stream, so a
+ * chain grant mixing them is answered with an error (the dispatcher
+ * requeues it local-only), never with one cell's counters or a crash.
+ */
+TEST(WorkerLease, ChainWhoseCellsDifferInRefsIsAnErrorAnswer)
+{
+    LeaseGrant grant;
+    grant.lease = 9;
+    grant.chain = true;
+    for (std::uint64_t refs : {kRefs, 2 * kRefs}) {
+        std::vector<SweepJob> cell =
+            expandShards(functionalGrid({"gcc"}, {"dp"}, refs), 4).jobs;
+        grant.jobs.insert(grant.jobs.end(), cell.begin(), cell.end());
+    }
+    SweepEngine engine(1);
+    CellResultMsg answer = runLease(engine, grant);
+    EXPECT_TRUE(answer.failed());
+    EXPECT_NE(answer.error.find("do not share a stream"),
+              std::string::npos)
+        << answer.error;
+    EXPECT_TRUE(answer.results.empty());
+    EXPECT_EQ(answer.lease, 9u);
 }
 
 /**

@@ -365,10 +365,11 @@ taskShapes(const Plan &plan)
 /**
  * The lowering rules and the LPT weights every execution path
  * schedules by: a Cell weighs costWeight(), a single-pass group
- * costWeight() x width, a checkpoint chain its cell's whole budget.
+ * costWeight() x width, a checkpoint chain its whole budget per cell.
  * Only adjacent same-stream functional cells share a Pass; a fan-out
- * is one Chain under checkpoint warm-up and independent shard Cells
- * under replay; timed and explicit `spec#k/N` cells pass through.
+ * is a Chain under checkpoint warm-up — one per stream in single-pass
+ * mode, one per cell otherwise — and independent shard Cells under
+ * replay; timed and explicit `spec#k/N` cells pass through.
  */
 TEST(Plan, LowersABatchIntoWeightedTasks)
 {
@@ -413,12 +414,23 @@ TEST(Plan, LowersABatchIntoWeightedTasks)
     ASSERT_EQ(chained.jobs().size(), 18u);
     EXPECT_EQ(chained.groupSizes(),
               (std::vector<std::uint32_t>{4, 4, 4, 4, 1, 1}));
+    // gcc's three cells share one stream: one chain feeds its windows
+    // once for all of them.
+    EXPECT_EQ(taskShapes(chained),
+              (std::vector<Shape>{{TaskKind::Chain, 0, 12, 0, 3 * kRefs},
+                                  {TaskKind::Chain, 12, 4, 3, kRefs},
+                                  {kCell, 16, 1, 4, kTimed},
+                                  {kCell, 17, 1, 5, kShard}}));
+
+    Plan per_cell = makePlan(jobs, 4, ShardWarmup::Checkpoint,
+                             PassMode::PerMechanism);
+    EXPECT_EQ(per_cell.groupSizes(), chained.groupSizes());
     std::vector<Shape> chains;
     for (std::size_t g = 0; g < 4; ++g)
         chains.emplace_back(TaskKind::Chain, 4 * g, 4, g, kRefs);
     chains.emplace_back(kCell, 16, 1, 4, kTimed);
     chains.emplace_back(kCell, 17, 1, 5, kShard);
-    EXPECT_EQ(taskShapes(chained), chains);
+    EXPECT_EQ(taskShapes(per_cell), chains);
 
     Plan replay = makePlan(jobs, 4, ShardWarmup::Replay,
                            PassMode::PerMechanism);
