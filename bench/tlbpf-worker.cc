@@ -6,14 +6,17 @@
  * sweep service (see src/dispatch/).
  *
  *   tlbpf-worker [--host 127.0.0.1] [--port 7733] [--threads N]
- *                [--cache-dir DIR] [--idle-poll-ms N]
- *                [--reconnect-ms N] [--max-reconnects N]
+ *                [--cache-dir DIR] [--reconnect-ms N]
+ *                [--max-reconnects N]
  *
  * --cache-dir should name the same directory the server persists to:
  * the worker then warms chained shard cells from checkpoints the
  * server (or other workers) already deposited, and deposits the
- * boundaries it crosses.  The worker reconnects with backoff when
- * the server goes away (--max-reconnects 0 = keep trying forever);
+ * boundaries it crosses.  An idle worker does not poll: the server
+ * holds its lease request until work is queued.  The worker
+ * reconnects with backoff when the server goes away or refuses it
+ * (--max-reconnects 0 = keep trying forever; otherwise it exits
+ * naming the reason after that many attempts in a row);
  * SIGINT/SIGTERM exit cleanly, printing the lifetime counters.
  */
 
@@ -46,7 +49,7 @@ main(int argc, char **argv)
 
     CliArgs args(argc, argv,
                  {"host", "port", "threads", "cache-dir",
-                  "idle-poll-ms", "reconnect-ms", "max-reconnects"});
+                  "reconnect-ms", "max-reconnects"});
     DispatchWorkerOptions options;
     options.host = args.get("host", "127.0.0.1");
     sockaddr_in probe{};
@@ -61,8 +64,6 @@ main(int argc, char **argv)
     // --threads 0 is the engine's "use hardware concurrency".
     options.threads = static_cast<unsigned>(
         bench::boundedCountFlag(args, "threads", 0, 4096, 1));
-    options.idlePollMs = static_cast<std::uint64_t>(
-        bench::boundedCountFlag(args, "idle-poll-ms", 1, 60000, 20));
     options.reconnectMs = static_cast<std::uint64_t>(
         bench::boundedCountFlag(args, "reconnect-ms", 1, 600000, 500));
     options.maxReconnectAttempts = static_cast<std::uint64_t>(

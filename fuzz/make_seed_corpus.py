@@ -109,6 +109,7 @@ FRAME_SEEDS = {
     "worker_welcome": frame({"type": "worker_welcome", "worker": 7,
                              "heartbeat_ms": 500}),
     "lease": frame({"type": "lease", "worker": 7}),
+    "lease_wait": frame({"type": "lease", "worker": 7, "wait": True}),
     "heartbeat": frame({"type": "heartbeat", "worker": 7}),
     "lease_grant": frame({"type": "lease_grant", "lease": 3,
                           "chain": False,

@@ -88,10 +88,12 @@ WorkerHello::decode(const JsonValue &message)
     WorkerHello hello;
     hello.protocol =
         static_cast<std::uint32_t>(message.at("protocol").asU64());
-    if (hello.protocol != kDispatchProtocolVersion)
+    if (hello.protocol < kMinDispatchProtocolVersion ||
+        hello.protocol > kDispatchProtocolVersion)
         throw std::invalid_argument(
             "worker speaks dispatch protocol " +
             std::to_string(hello.protocol) + ", server speaks " +
+            std::to_string(kMinDispatchProtocolVersion) + " to " +
             std::to_string(kDispatchProtocolVersion));
     std::uint64_t threads = message.at("threads").asU64();
     if (threads < 1 || threads > 4096)
@@ -157,19 +159,25 @@ LeaseGrant::decode(const JsonValue &message)
 }
 
 std::string
-encodeLeaseRequest(std::uint64_t worker)
+encodeLeaseRequest(std::uint64_t worker, bool wait)
 {
     JsonObjectWriter out;
     out.str("type", "lease");
     out.u64("worker", worker);
+    if (wait)
+        out.boolean("wait", true);
     return out.take();
 }
 
-std::uint64_t
+LeaseRequest
 decodeLeaseRequest(const JsonValue &message)
 {
-    requireKnownKeys(message, "lease request", {"type", "worker"});
-    return message.at("worker").asU64();
+    requireKnownKeys(message, "lease request", {"type", "worker", "wait"});
+    LeaseRequest request;
+    request.worker = message.at("worker").asU64();
+    if (const JsonValue *v = message.find("wait"))
+        request.wait = v->asBool();
+    return request;
 }
 
 std::string

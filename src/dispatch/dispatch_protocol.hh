@@ -6,14 +6,14 @@
  * A tlbpf-worker process connects to the same port clients use and
  * promotes its connection to a worker session with one handshake:
  *
- *   worker -> server   {"type":"worker_hello","protocol":1,
+ *   worker -> server   {"type":"worker_hello","protocol":2,
  *                       "threads":N}
  *   server -> worker   {"type":"worker_welcome","worker":ID,
  *                       "heartbeat_ms":H}
  *
- * after which the worker pulls work with a polling lease loop:
+ * after which the worker pulls work with a lease loop:
  *
- *   {"type":"lease","worker":ID}
+ *   {"type":"lease","worker":ID,"wait":true}
  *     -> {"type":"lease_grant","lease":L,"chain":B,"jobs":[...]}
  *        when the dispatcher has leasable work: with "chain" false,
  *        one single-pass group (cells sharing a stream) or a block
@@ -21,8 +21,12 @@
  *        shards of one or more cells over one stream, cell-major —
  *        run each window in stream order, every cell's shard k
  *        warmed from its shard k-1; or
- *     -> {"type":"lease_idle"} when it does not (sleep briefly, ask
- *        again).
+ *     -> {"type":"lease_idle"} when it does not.  A request with
+ *        "wait":true is held until a leasable task is queued, the
+ *        server stops, or one heartbeat interval passes, so an idle
+ *        worker wakes on work instead of on a timer and asks again
+ *        at once after lease_idle.  A request without it is answered
+ *        at once.
  *   {"type":"cell_result","lease":L,"results":[...]}
  *     -> {"type":"result_ok","accepted":B}  accepted=false means the
  *        lease had already expired or been reclaimed and the payload
@@ -35,6 +39,11 @@
  *        one-way (no reply): refreshes the deadline of every lease
  *        the worker holds, so a slow-but-alive worker keeps its work
  *        while a stalled or dead one is reclaimed at the deadline.
+ *
+ * Versions: protocol 2 added "wait".  The server registers
+ * protocol 1 and 2 hellos, so a protocol-1 worker keeps polling with
+ * unheld leases; a protocol-2 worker meeting a protocol-1 server is
+ * refused at hello, not at its first lease.
  *
  * Only functional cells cross the wire: counters are exact u64
  * integers end to end (the byte-identity contract), while timed
@@ -62,7 +71,10 @@ namespace tlbpf
 {
 
 /** Bumped on any incompatible change to the worker verbs. */
-constexpr std::uint32_t kDispatchProtocolVersion = 1;
+constexpr std::uint32_t kDispatchProtocolVersion = 2;
+
+/** Oldest worker protocol the server still registers. */
+constexpr std::uint32_t kMinDispatchProtocolVersion = 1;
 
 /** Worker registration handshake (worker -> server). */
 struct WorkerHello
@@ -103,11 +115,20 @@ struct LeaseGrant
     static LeaseGrant decode(const JsonValue &message);
 };
 
-/** {"type":"lease","worker":ID} */
-std::string encodeLeaseRequest(std::uint64_t worker);
+/** A worker's request for its next lease. */
+struct LeaseRequest
+{
+    std::uint64_t worker = 0;
+    /** Hold the request until work arrives; false = answer at once
+     *  (the only form protocol 1 sends). */
+    bool wait = false;
+};
 
-/** Strict decode of a lease request's worker id. */
-std::uint64_t decodeLeaseRequest(const JsonValue &message);
+/** {"type":"lease","worker":ID} plus "wait":true when @p wait. */
+std::string encodeLeaseRequest(std::uint64_t worker, bool wait = false);
+
+/** Strict decode of a lease request. */
+LeaseRequest decodeLeaseRequest(const JsonValue &message);
 
 /** {"type":"lease_idle"} */
 std::string encodeLeaseIdle();

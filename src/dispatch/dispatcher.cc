@@ -59,16 +59,49 @@ Dispatcher::heartbeat(std::uint64_t worker)
             entry.second.deadline = deadline;
 }
 
-bool
-Dispatcher::lease(std::uint64_t worker, LeaseGrant &out)
+std::uint64_t
+Dispatcher::heartbeatMs() const
 {
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto wit = _workers.find(worker);
-    if (wit == _workers.end())
-        throw std::invalid_argument("lease: unknown worker id " +
-                                    std::to_string(worker));
-    if (!_batch)
-        return false;
+    return std::max<std::uint64_t>(1, _options.leaseTimeoutMs / 4);
+}
+
+bool
+Dispatcher::lease(std::uint64_t worker, LeaseGrant &out, bool wait)
+{
+    Clock::time_point until =
+        Clock::now() + std::chrono::milliseconds(wait ? heartbeatMs() : 0);
+    std::unique_lock<std::mutex> lock(_mutex);
+    for (;;) {
+        auto wit = _workers.find(worker);
+        if (wit == _workers.end())
+            throw std::invalid_argument("lease: unknown worker id " +
+                                        std::to_string(worker));
+        if (_closed)
+            return false;
+        if (_batch && grantLocked(worker, wit->second, out))
+            return true;
+        if (Clock::now() >= until)
+            return false;
+        // Woken by anything that queues a leasable task (batch start,
+        // reclaims) or by close(); anything else just re-checks.
+        _cv.wait_until(lock, until);
+    }
+}
+
+void
+Dispatcher::close()
+{
+    {
+        std::lock_guard<std::mutex> lock(_mutex);
+        _closed = true;
+    }
+    _cv.notify_all();
+}
+
+bool
+Dispatcher::grantLocked(std::uint64_t worker, unsigned threads,
+                        LeaseGrant &out)
+{
     Clock::time_point now = Clock::now();
     reclaimExpiredLocked(now);
 
@@ -104,7 +137,7 @@ Dispatcher::lease(std::uint64_t worker, LeaseGrant &out)
         // width; a single-pass group or a chain is always granted
         // alone (it is one task however many jobs it spans).
         std::size_t cap =
-            std::min<std::size_t>(wit->second, _options.maxLeaseCells);
+            std::min<std::size_t>(threads, _options.maxLeaseCells);
         while (out.jobs.size() < cap && takeNext(/*cellsOnly=*/true))
             ;
     }
@@ -115,13 +148,20 @@ Dispatcher::lease(std::uint64_t worker, LeaseGrant &out)
     _counters.leasesGranted += 1;
     // Grant-shape invariants: the payload the worker must send back
     // is one result per job, so the recorded jobCount has to match
-    // what crossed the wire, and only cells are block-filled.
+    // what crossed the wire, and only cells are block-filled.  A
+    // closed dispatcher grants nothing, and timed or worker-failed
+    // tasks never leave the server.
+    TLBPF_DCHECK_MSG(!_closed, "lease ", out.lease,
+                     " granted after close()");
     TLBPF_DCHECK(!out.jobs.empty());
     TLBPF_DCHECK_MSG(state.jobCount == out.jobs.size(),
                      "lease ", out.lease, " records ", state.jobCount,
                      " jobs but grants ", out.jobs.size());
     TLBPF_DCHECK(state.tasks.size() == 1 ||
                  tasks[state.tasks.front()].kind == TaskKind::Cell);
+    for (std::size_t t : state.tasks)
+        TLBPF_DCHECK_MSG(!_batch->localOnly[t], "lease ", out.lease,
+                         " grants local-only task ", t);
     return true;
 }
 
@@ -226,6 +266,7 @@ void
 Dispatcher::reclaimLocked(
     const std::function<bool(const LeaseState &)> &stale)
 {
+    bool requeued = false;
     for (auto it = _leases.begin(); it != _leases.end();) {
         if (!stale(it->second)) {
             ++it;
@@ -235,10 +276,13 @@ Dispatcher::reclaimLocked(
             for (std::size_t t : it->second.tasks)
                 _batch->queue.push_back(t);
             _batch->reclaims += 1;
+            requeued = true;
         }
         _counters.leaseReclaims += 1;
         it = _leases.erase(it);
     }
+    if (requeued)
+        _cv.notify_all(); // a held lease request may take them
 }
 
 void

@@ -12,10 +12,14 @@
  * stream) and cells.  Local drain loops (one per engine pool thread)
  * run tasks from the back with runTask(); worker sessions lease them
  * from the front: a Pass or Chain alone and whole, Cells in blocks of
- * up to `worker threads` jobs.  Every completed task, local or remote,
- * goes through the engine's PlanResults, which folds each sharded cell
- * once its last shard lands and emits in submission order no matter
- * which side — or which machine — simulated a cell.
+ * up to `worker threads` jobs.  An idle worker's lease request may be
+ * held on the dispatcher's condition variable, which every path that
+ * queues a leasable task notifies, so a batch reaches an idle fleet
+ * the moment it starts instead of on the workers' next poll.  Every
+ * completed task, local or remote, goes through the engine's
+ * PlanResults, which folds each sharded cell once its last shard
+ * lands and emits in submission order no matter which side — or
+ * which machine — simulated a cell.
  *
  * Leases carry a deadline.  A worker refreshes its deadlines with
  * one-way heartbeats; a worker whose connection drops is reclaimed
@@ -106,11 +110,29 @@ class Dispatcher
     void heartbeat(std::uint64_t worker);
 
     /**
-     * Lease the next block of work to @p worker.  Returns false when
-     * no leasable work is queued right now (idle).  Throws
+     * How often a worker should heartbeat: a quarter of the lease
+     * window, so one late heartbeat never costs a healthy worker its
+     * lease.  It is also how long a held lease() waits.
+     */
+    std::uint64_t heartbeatMs() const;
+
+    /**
+     * Lease the next block of work to @p worker.  Without @p wait
+     * this answers at once; with it, it holds the caller until a
+     * leasable task is queued (batch start, a reclaim), close() is
+     * called, or heartbeatMs() passes.  Returns false when nothing
+     * was granted (idle), and always after close().  Throws
      * std::invalid_argument for an unregistered worker id.
      */
-    bool lease(std::uint64_t worker, LeaseGrant &out);
+    bool lease(std::uint64_t worker, LeaseGrant &out, bool wait = false);
+
+    /**
+     * Stop granting, for good: every held lease() returns false now
+     * and every later one at once.  Leases already out still
+     * complete.  The server calls this before it joins its sessions,
+     * so a stop never waits out a hold.
+     */
+    void close();
 
     /**
      * Integrate a completed lease: one result per granted job, in
@@ -177,6 +199,10 @@ class Dispatcher
         std::map<std::uint64_t, double> busy; ///< worker -> seconds
     };
 
+    /** Grant @p worker its next block from the batch queue (under
+     *  _mutex, with a batch active); false when none is leasable. */
+    bool grantLocked(std::uint64_t worker, unsigned threads,
+                     LeaseGrant &out);
     void localDrain(Batch &batch);
     /** Run task @p t here and resolve it (completed or failed). */
     void runLocal(Batch &batch, std::size_t t);
@@ -196,6 +222,7 @@ class Dispatcher
     std::uint64_t _nextWorker = 1;
     std::uint64_t _nextLease = 1;
     Batch *_batch = nullptr;
+    bool _closed = false; ///< close() was called
     Counters _counters;
     BatchStats _lastBatch;
 };

@@ -7,10 +7,14 @@
 #include <cstring>
 #include <mutex>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <set>
 #include <stdexcept>
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+
+#include "util/logging.hh"
 
 namespace tlbpf
 {
@@ -42,6 +46,10 @@ connectTo(const std::string &host, std::uint16_t port)
     if (::connect(sock.fd(), reinterpret_cast<sockaddr *>(&addr),
                   sizeof(addr)) != 0)
         return -1; // retryable; the caller backs off
+    // Heartbeats are one-way, so under Nagle a cell_result written
+    // soon after one would wait out the server's delayed ACK.
+    int one = 1;
+    ::setsockopt(sock.fd(), IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     return sock.release();
 }
 
@@ -145,35 +153,51 @@ DispatchWorker::requestStop()
 void
 DispatchWorker::run()
 {
-    std::uint64_t failures = 0;
+    std::uint64_t failures = 0; // attempts in a row, none registered
+    std::set<std::string> warned;
     while (!_stop.load()) {
+        std::string failure; // why this attempt did not register
+        std::uint64_t registered = _sessions.load();
         int raw = connectTo(_options.host, _options.port);
         if (raw < 0) {
+            failure = "cannot connect";
+        } else {
+            OwnedFd fd(raw);
+            _activeFd.store(fd.fd());
+            try {
+                session(fd.fd());
+            } catch (const TransportError &e) {
+                // Server went away (or requestStop() shut the socket);
+                // fall through to the reconnect loop.
+                failure = e.what();
+            } catch (const std::invalid_argument &e) {
+                // A refused registration, or an answer this worker
+                // cannot parse: try a fresh session rather than loop
+                // on a confused connection.
+                failure = e.what();
+            }
+            _activeFd.store(-1);
+            // A session that registered and ended later is no failed
+            // attempt: it resets the budget.
+            if (_sessions.load() != registered)
+                failure.clear();
+        }
+        if (failure.empty()) {
+            failures = 0;
+        } else if (!_stop.load()) {
             failures += 1;
+            std::string why = _options.host + ":" +
+                              std::to_string(_options.port) + ": " +
+                              failure;
             if (_options.maxReconnectAttempts &&
                 failures >= _options.maxReconnectAttempts)
-                throw TransportError(
-                    "cannot reach " + _options.host + ":" +
-                    std::to_string(_options.port) + " after " +
-                    std::to_string(failures) + " attempts");
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(_options.reconnectMs));
-            continue;
+                throw TransportError(why + " (" +
+                                     std::to_string(failures) +
+                                     " attempts in a row)");
+            if (warned.insert(why).second)
+                tlbpf_warn("dispatch worker: ", why, "; retrying every ",
+                           _options.reconnectMs, " ms");
         }
-        failures = 0;
-        OwnedFd fd(raw);
-        _activeFd.store(fd.fd());
-        try {
-            session(fd.fd());
-        } catch (const TransportError &) {
-            // Server went away (or requestStop() shut the socket);
-            // fall through to the reconnect loop.
-        } catch (const std::invalid_argument &) {
-            // The server answered with something this worker cannot
-            // parse (or an error frame): drop the session and try a
-            // fresh one rather than loop on a confused connection.
-        }
-        _activeFd.store(-1);
         if (!_stop.load())
             std::this_thread::sleep_for(
                 std::chrono::milliseconds(_options.reconnectMs));
@@ -195,9 +219,14 @@ DispatchWorker::session(int fd)
     std::string type;
     if (!readMessage(fd, message, type))
         throw TransportError("server closed during registration");
-    if (type == "error")
+    if (type == "error") {
+        // E.g. a --max-clients shed, or a protocol version it lacks.
+        const JsonValue *reason = message.find("message");
         throw std::invalid_argument(
-            "server refused registration"); // e.g. --max-clients shed
+            "refused registration: " +
+            (reason && reason->isString() ? reason->asString()
+                                          : std::string("(no reason)")));
+    }
     if (type != "worker_welcome")
         throw std::invalid_argument("expected worker_welcome, got '" +
                                     type + "'");
@@ -209,16 +238,15 @@ DispatchWorker::session(int fd)
 
     while (!_stop.load()) {
         {
+            // Held by the server until work is queued (or for one
+            // heartbeat), so an idle worker wakes on work, not a timer.
             std::lock_guard<std::mutex> lock(write_mutex);
-            writeFrame(fd, encodeLeaseRequest(welcome.worker));
+            writeFrame(fd, encodeLeaseRequest(welcome.worker, true));
         }
         if (!readMessage(fd, message, type))
             throw TransportError("server closed the connection");
-        if (type == "lease_idle") {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(_options.idlePollMs));
+        if (type == "lease_idle")
             continue;
-        }
         if (type != "lease_grant")
             throw std::invalid_argument("expected a lease, got '" +
                                         type + "'");

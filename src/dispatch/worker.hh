@@ -3,10 +3,14 @@
  * The pull side of the dispatch subsystem: a DispatchWorker connects
  * to a tlbpf-server, registers with worker_hello, and then loops —
  * lease, simulate, cell_result — on its own SweepEngine until told to
- * stop.  One background thread sends one-way heartbeats so a lease
- * held across a long cell is never reclaimed while the worker is
- * merely busy; the main thread is the only frame *reader*, so replies
- * never interleave.
+ * stop.  Its lease requests carry "wait":true, so the server holds an
+ * idle worker's request until work is queued; on lease_idle the
+ * worker asks again at once, and never sleeps between requests.  One background thread sends one-way
+ * heartbeats so a lease held across a long cell is never reclaimed
+ * while the worker is merely busy; the main thread is the only frame
+ * *reader*, so replies never interleave.  The connection sets
+ * TCP_NODELAY, so a frame written behind a heartbeat never waits on
+ * the server's delayed ACK.
  *
  * runLease() lowers each grant back into the server's tasks: a chain
  * (the shards of one or more cells over one stream, cell-major) is
@@ -22,7 +26,9 @@
  * and the server requeues it local-only.  A lost connection triggers
  * reconnect-with-backoff; the server reclaims the dead session's
  * leases immediately, so a kill -9 mid-lease costs latency, never a
- * batch.
+ * batch.  A refused registration (a --max-clients shed, a protocol
+ * version the server lacks) is warned once per distinct reason and
+ * counts toward maxReconnectAttempts like a failed connect.
  */
 
 #ifndef TLBPF_DISPATCH_WORKER_HH
@@ -47,9 +53,11 @@ struct DispatchWorkerOptions
     /** Shared persistence root (same layout as the server's). */
     std::string cacheDir;
     std::size_t checkpointCapacity = 256;
-    std::uint64_t idlePollMs = 20;   ///< sleep between idle leases
     std::uint64_t reconnectMs = 500; ///< backoff between connects
-    /** Give up after this many failed connects in a row (0 = never). */
+    /**
+     * Give up after this many attempts in a row that never registered
+     * — a failed connect or a refused registration (0 = never).
+     */
     std::uint64_t maxReconnectAttempts = 0;
 };
 
@@ -69,8 +77,9 @@ class DispatchWorker
     /**
      * Serve until requestStop() — connect, register, pull leases;
      * reconnect with backoff whenever the server goes away.  Returns
-     * normally on stop, throws TransportError only when the connect
-     * retry budget (maxReconnectAttempts) is exhausted.
+     * normally on stop, throws TransportError naming the last reason
+     * (unreachable, or the server's refusal) only when the retry
+     * budget (maxReconnectAttempts) is exhausted.
      */
     void run();
 

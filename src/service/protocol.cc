@@ -109,12 +109,13 @@ writeFrame(int fd, const std::string &payload)
             "frame payload of " + std::to_string(payload.size()) +
             " bytes exceeds the " + std::to_string(kMaxFrameBytes) +
             "-byte frame bound");
-    char header[4];
+    std::string frame;
+    frame.reserve(4 + payload.size());
     std::uint32_t length = static_cast<std::uint32_t>(payload.size());
     for (int i = 0; i < 4; ++i)
-        header[i] = static_cast<char>(length >> (8 * i));
-    writeAll(fd, header, sizeof(header));
-    writeAll(fd, payload.data(), payload.size());
+        frame += static_cast<char>(length >> (8 * i));
+    frame += payload;
+    writeAll(fd, frame.data(), frame.size());
 }
 
 bool

@@ -8,6 +8,9 @@
  * is deliberately dumb (no compression, no multiplexing): the
  * payloads are small and the value of the service is the result
  * cache and the warm checkpoints behind it, not wire cleverness.
+ * Every frame leaves in one write (prefix and payload together), so
+ * no exchange on a reused connection waits out a delayed ACK between
+ * the halves of a frame.
  *
  * Client -> server requests:
  *   {"type":"sweep", "workloads":[...], "mechanisms":[...],
@@ -97,7 +100,10 @@ class OwnedFd
 };
 
 /**
- * Write one frame; throws TransportError on any short/failed write
+ * Write one frame, prefix and payload in one write: a prefix sent on
+ * its own would leave the payload waiting on the peer's delayed ACK
+ * under Nagle.  Throws std::invalid_argument when the payload exceeds
+ * kMaxFrameBytes, and TransportError on any short/failed write
  * (SIGPIPE is suppressed per-call, so a vanished peer surfaces as an
  * exception, not a process signal).
  */

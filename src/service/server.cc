@@ -112,6 +112,8 @@ SweepServer::~SweepServer()
 void
 SweepServer::reapSessions(bool all)
 {
+    if (all)
+        _dispatcher.close(); // wake every held lease request for good
     std::list<std::unique_ptr<Session>> finished;
     {
         std::lock_guard<std::mutex> lock(_sessionsMutex);
@@ -231,10 +233,7 @@ SweepServer::handleWorker(int fd, const JsonValue &hello_message)
     try {
         WorkerWelcome welcome;
         welcome.worker = id;
-        // Several refreshes fit in one lease window, so a single
-        // delayed heartbeat never costs a healthy worker its lease.
-        welcome.heartbeatMs =
-            std::max<std::uint64_t>(1, _options.leaseTimeoutMs / 4);
+        welcome.heartbeatMs = _dispatcher.heartbeatMs();
         writeFrame(fd, welcome.encode());
         workerLoop(fd, id);
     } catch (...) {
@@ -253,11 +252,12 @@ SweepServer::workerLoop(int fd, std::uint64_t worker)
     std::string type;
     while (readMessage(fd, message, type)) {
         if (type == "lease") {
-            if (decodeLeaseRequest(message) != worker)
+            LeaseRequest request = decodeLeaseRequest(message);
+            if (request.worker != worker)
                 throw std::invalid_argument(
                     "lease names a different worker id");
             LeaseGrant grant;
-            if (_dispatcher.lease(worker, grant))
+            if (_dispatcher.lease(worker, grant, request.wait))
                 writeFrame(fd, grant.encode());
             else
                 writeFrame(fd, encodeLeaseIdle());

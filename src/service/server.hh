@@ -15,7 +15,12 @@
  * accounting exact — but worker sessions bypass that mutex entirely:
  * lease, heartbeat and cell_result verbs land directly on the
  * Dispatcher, which is how remote workers make progress *inside*
- * another connection's batch.
+ * another connection's batch.  A worker's lease may be held in the
+ * Dispatcher until work is queued (see dispatch_protocol.hh); a stop
+ * closes the Dispatcher first, so no held lease delays it.  Sessions
+ * keep Nagle: every frame is one write and every server write on a
+ * worker session answers a worker message, so a request/reply
+ * exchange does not stall on it.
  *
  * Failure policy mirrors the engine's: a malformed request gets an
  * "error" frame and only that connection is dropped (a worker's

@@ -14,6 +14,8 @@
 #ifndef TLBPF_UTIL_LOGGING_HH
 #define TLBPF_UTIL_LOGGING_HH
 
+#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -43,14 +45,14 @@ class Logger
     void emit(const char *label, const std::string &msg);
 
     /** Number of warnings emitted so far (used by tests). */
-    std::uint64_t warnCount() const { return _warnCount; }
-    void countWarning() { ++_warnCount; }
+    std::uint64_t warnCount() const { return _warnCount.load(); }
+    void countWarning() { _warnCount.fetch_add(1); }
 
   private:
     Logger() = default;
 
     LogLevel _level = LogLevel::Normal;
-    std::uint64_t _warnCount = 0;
+    std::atomic<std::uint64_t> _warnCount{0}; ///< any thread may warn
 };
 
 namespace detail

@@ -80,6 +80,7 @@ ThreadPool::drain(unsigned self)
         if (k >= _order.size())
             return;
         std::size_t index = _order[k];
+        _stats.order[k] = index;
         if (dchecksEnabled())
             _runs[index].fetch_add(1, std::memory_order_relaxed);
         auto start = Clock::now();
@@ -135,6 +136,7 @@ ThreadPool::runBatch(std::size_t n, const std::uint64_t *weights,
                          });
     if (dchecksEnabled())
         _runs = std::vector<std::atomic<std::uint8_t>>(n);
+    _stats.order.resize(n);
     _invoke = invoke;
     _ctx = ctx;
     _next.store(0);

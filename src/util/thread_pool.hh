@@ -32,8 +32,9 @@
  * submission allocates nothing for the callable.
  *
  * Telemetry: the pool records per-worker executed-job counts and busy
- * time for the most recent batch — see BatchStats.  Reading
- * lastBatchStats() is only valid between batches.
+ * time, and the cursor's hand-out order, for the most recent batch —
+ * see BatchStats.  Reading lastBatchStats() is only valid between
+ * batches.
  */
 
 #ifndef TLBPF_UTIL_THREAD_POOL_HH
@@ -68,6 +69,9 @@ class ThreadPool
         std::size_t jobs = 0;             ///< batch size n
         double seconds = 0;               ///< wall-clock of the batch
         std::vector<WorkerStats> workers; ///< one per thread
+        /** Indices in the order the cursor handed them out: claim k
+         *  got order[k], whichever thread made it. */
+        std::vector<std::size_t> order;
 
         /** Min/max over workers of busySeconds / batch seconds. */
         double busyFractionMin() const;

@@ -12,14 +12,17 @@
  * batch and every fleet size, the server's worker sessions (malformed cell_result drops only that
  * worker; --max-clients sheds with an error frame; concurrent clients
  * account a shared cache exactly; a worker fleet produces
- * byte-identical sweeps), and the disk-store eviction sweep (TTL, LRU
- * budget, touch-on-read recency).
+ * byte-identical sweeps; no-wait leases never stall; a held lease is
+ * granted when a sweep arrives, capped at half the lease timeout and
+ * ended by a stop; a refused worker names the reason), and the
+ * disk-store eviction sweep (TTL, LRU budget, touch-on-read recency).
  */
 
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <fcntl.h>
 #include <memory>
@@ -43,6 +46,7 @@
 #include "service/server.hh"
 #include "service/store_util.hh"
 #include "util/check.hh"
+#include "util/logging.hh"
 
 namespace tlbpf
 {
@@ -113,6 +117,25 @@ rawWorkerHello(int fd, unsigned threads = 2)
     EXPECT_TRUE(readMessage(fd, message, type));
     EXPECT_EQ(type, "worker_welcome");
     return WorkerWelcome::decode(message);
+}
+
+/** Seconds since @p start on the steady clock. */
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+}
+
+/** Send one lease request by hand and read its answer's type. */
+std::string
+rawLease(int fd, std::uint64_t worker, bool wait, JsonValue &message)
+{
+    writeFrame(fd, encodeLeaseRequest(worker, wait));
+    std::string type;
+    EXPECT_TRUE(readMessage(fd, message, type));
+    return type;
 }
 
 /** Set a file's mtime to @p seconds_ago before now. */
@@ -197,9 +220,20 @@ TEST(DispatchProtocol, VerbsRoundTripExactly)
               grant.jobs[1].spec.canonical());
     EXPECT_EQ(grant2.jobs[0].refs, kRefs);
 
-    EXPECT_EQ(decodeLeaseRequest(
-                  JsonValue::parse(encodeLeaseRequest(3))),
-              3u);
+    LeaseRequest now =
+        decodeLeaseRequest(JsonValue::parse(encodeLeaseRequest(3)));
+    EXPECT_EQ(now.worker, 3u);
+    EXPECT_FALSE(now.wait);
+    // A no-wait lease keeps protocol 1's bytes.
+    EXPECT_EQ(encodeLeaseRequest(3), "{\"type\":\"lease\",\"worker\":3}");
+    LeaseRequest held = decodeLeaseRequest(
+        JsonValue::parse(encodeLeaseRequest(3, true)));
+    EXPECT_EQ(held.worker, 3u);
+    EXPECT_TRUE(held.wait);
+    EXPECT_FALSE(decodeLeaseRequest(
+                     JsonValue::parse("{\"type\":\"lease\",\"worker\":3,"
+                                      "\"wait\":false}"))
+                     .wait);
     EXPECT_EQ(decodeHeartbeat(JsonValue::parse(encodeHeartbeat(9))),
               9u);
     EXPECT_EQ(JsonValue::parse(encodeLeaseIdle()).at("type").asString(),
@@ -235,8 +269,10 @@ TEST(DispatchProtocol, VerbsRoundTripExactly)
 TEST(DispatchProtocol, RejectsMalformedVerbs)
 {
     for (const char *bad : {
-             // Wrong protocol version.
-             "{\"type\":\"worker_hello\",\"protocol\":2,"
+             // Protocol versions outside [1, 2].
+             "{\"type\":\"worker_hello\",\"protocol\":0,"
+             "\"threads\":1}",
+             "{\"type\":\"worker_hello\",\"protocol\":3,"
              "\"threads\":1}",
              // Unknown key (strictness contract).
              "{\"type\":\"worker_hello\",\"protocol\":1,"
@@ -248,6 +284,26 @@ TEST(DispatchProtocol, RejectsMalformedVerbs)
         EXPECT_THROW(
             WorkerHello::decode(JsonValue::parse(bad)),
             std::invalid_argument)
+            << "input: " << bad;
+
+    // Both versions the server speaks register.
+    for (std::uint32_t version : {1u, 2u})
+        EXPECT_EQ(WorkerHello::decode(
+                      JsonValue::parse(
+                          "{\"type\":\"worker_hello\",\"protocol\":" +
+                          std::to_string(version) + ",\"threads\":1}"))
+                      .protocol,
+                  version);
+
+    // A lease's wait is a boolean, nothing else.
+    for (const char *bad : {
+             "{\"type\":\"lease\",\"worker\":1,\"wait\":1}",
+             "{\"type\":\"lease\",\"worker\":1,\"wait\":\"true\"}",
+             "{\"type\":\"lease\",\"worker\":1,\"wait\":null}",
+             "{\"type\":\"lease\",\"worker\":1,\"wait_ms\":10}",
+         })
+        EXPECT_THROW(decodeLeaseRequest(JsonValue::parse(bad)),
+                     std::invalid_argument)
             << "input: " << bad;
 
     // A grant must carry at least one job.
@@ -593,6 +649,70 @@ TEST(Dispatcher, FailedLeaseRerunsLocallyOnly)
     std::vector<SweepResult> direct = engine.run(jobs);
     for (std::size_t i = 0; i < direct.size(); ++i)
         EXPECT_EQ(results[i].functional, direct[i].functional);
+    dispatcher.unregisterWorker(worker);
+}
+
+/**
+ * A held lease() wakes when a batch queues work, not when its hold
+ * runs out; close() ends a hold at once, and every lease() after it
+ * answers idle without waiting.
+ */
+TEST(Dispatcher, HeldLeaseWakesOnBatchStartAndCloseEndsEveryHold)
+{
+    SweepEngine engine(1);
+    DispatcherOptions options;
+    options.leaseTimeoutMs = 60000; // holds last 15 s
+    Dispatcher dispatcher(engine, options);
+    std::uint64_t worker = dispatcher.registerWorker(1);
+
+    std::vector<SweepJob> jobs =
+        functionalGrid({"gcc", "mcf"}, {"rp", "dp"}, kSlowRefs / 5);
+    Plan plan = singletonPlan(jobs);
+    LeaseGrant grant;
+    bool granted = false;
+    double waited = 0;
+    std::thread holder([&] {
+        auto start = std::chrono::steady_clock::now();
+        granted = dispatcher.lease(worker, grant, true);
+        waited = secondsSince(start);
+    });
+    // Let the request settle into its hold before the batch starts.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::vector<SweepResult> results;
+    std::thread batch([&] {
+        results = dispatcher.runBatch(plan, {});
+    });
+    holder.join();
+    EXPECT_TRUE(granted);
+    EXPECT_LT(waited, 2.0);
+    if (granted) {
+        SweepEngine mine(1);
+        CellResultMsg answer = runLease(mine, grant);
+        ASSERT_FALSE(answer.failed()) << answer.error;
+        dispatcher.completeLease(grant.lease,
+                                 std::move(answer.results));
+    }
+    batch.join();
+    std::vector<SweepResult> direct = engine.run(jobs);
+    ASSERT_EQ(results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+        EXPECT_EQ(results[i].functional, direct[i].functional)
+            << "cell " << i;
+
+    // An idle hold, ended by close() long before its 15 s run out.
+    std::thread idle([&] {
+        auto start = std::chrono::steady_clock::now();
+        granted = dispatcher.lease(worker, grant, true);
+        waited = secondsSince(start);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    dispatcher.close();
+    idle.join();
+    EXPECT_FALSE(granted);
+    EXPECT_LT(waited, 2.0);
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_FALSE(dispatcher.lease(worker, grant, true));
+    EXPECT_LT(secondsSince(start), 1.0);
     dispatcher.unregisterWorker(worker);
 }
 
@@ -1158,7 +1278,6 @@ TEST(DispatchServer, WorkerFleetSweepIsByteIdenticalToLocal)
     worker_options.port = fleet.port();
     worker_options.threads = 2;
     worker_options.cacheDir = fleet_options.cacheDir;
-    worker_options.idlePollMs = 1;
     DispatchWorker worker1(worker_options), worker2(worker_options);
     std::thread pulling1([&] { worker1.run(); });
     std::thread pulling2([&] { worker2.run(); });
@@ -1246,6 +1365,198 @@ TEST(DispatchServer, WorkerVanishingMidLeaseNeverLosesTheBatch)
         EXPECT_GE(stats.leaseReclaims, 1u);
     }
     ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/**
+ * Stall regression for the worker verbs: a lease without "wait" is
+ * answered at once — under protocol 2 and for a protocol-1
+ * worker, which never sends one — and never waits out a delayed ACK
+ * (~88 ms per exchange with two writes per frame).
+ */
+TEST(DispatchServer, LeasesWithoutAWaitAreAnsweredAtOnce)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    options.leaseTimeoutMs = 60000;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    for (std::uint32_t version : {1u, kDispatchProtocolVersion}) {
+        OwnedFd fd = rawConnect(server.port());
+        WorkerHello hello;
+        hello.protocol = version;
+        writeFrame(fd.fd(), hello.encode());
+        JsonValue message;
+        std::string type;
+        ASSERT_TRUE(readMessage(fd.fd(), message, type));
+        ASSERT_EQ(type, "worker_welcome") << "protocol " << version;
+        std::uint64_t id = WorkerWelcome::decode(message).worker;
+        auto start = std::chrono::steady_clock::now();
+        for (int i = 0; i < 20; ++i)
+            EXPECT_EQ(rawLease(fd.fd(), id, false, message),
+                      "lease_idle");
+        double ms = 1000 * secondsSince(start);
+        EXPECT_LT(ms, 400.0)
+            << "protocol " << version << ": 20 leases took " << ms
+            << " ms";
+    }
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/**
+ * A worker's held lease is granted as soon as a sweep queues work —
+ * not at the end of its 15 s hold — and the leased cells merge into
+ * the local engine's bytes.
+ */
+TEST(DispatchServer, HeldLeaseIsGrantedWhenASweepArrives)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    options.leaseTimeoutMs = 60000; // holds last 15 s
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    OwnedFd fd = rawConnect(server.port());
+    WorkerWelcome welcome = rawWorkerHello(fd.fd(), 1);
+    writeFrame(fd.fd(), encodeLeaseRequest(welcome.worker, true));
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    SweepRequest request;
+    request.workloads = {"app:gcc", "app:mcf"};
+    request.mechanisms = {"rp", "dp"};
+    request.refs = kSlowRefs / 5;
+    auto start = std::chrono::steady_clock::now();
+    ServiceClient::SweepOutcome out;
+    std::thread client([&] {
+        out = ServiceClient("127.0.0.1", server.port()).sweep(request);
+    });
+    JsonValue message;
+    std::string type;
+    EXPECT_TRUE(readMessage(fd.fd(), message, type));
+    double waited = secondsSince(start);
+    EXPECT_EQ(type, "lease_grant");
+    EXPECT_LT(waited, 2.0);
+    if (type == "lease_grant") {
+        SweepEngine mine(1);
+        CellResultMsg answer =
+            runLease(mine, LeaseGrant::decode(message));
+        EXPECT_FALSE(answer.failed()) << answer.error;
+        writeFrame(fd.fd(), answer.encode());
+        EXPECT_TRUE(readMessage(fd.fd(), message, type));
+        EXPECT_EQ(type, "result_ok");
+    }
+    client.join();
+
+    SweepEngine local(1);
+    std::vector<SweepResult> direct = local.run(
+        SweepRequest::decode(JsonValue::parse(request.encode()))
+            .expand());
+    ASSERT_EQ(out.results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i)
+        EXPECT_EQ(out.results[i].functional, direct[i].functional)
+            << "cell " << i;
+    EXPECT_GE(server.stats().cellsDispatched, 1u);
+    fd.close();
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/**
+ * On an idle server a held lease ends in lease_idle after one
+ * heartbeat interval, so the session hears from its worker again.
+ */
+TEST(DispatchServer, HeldLeaseEndsIdleAfterOneHeartbeat)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    options.leaseTimeoutMs = 400; // heartbeat every 100 ms
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    OwnedFd fd = rawConnect(server.port());
+    WorkerWelcome welcome = rawWorkerHello(fd.fd(), 1);
+    EXPECT_EQ(welcome.heartbeatMs, 100u);
+    JsonValue message;
+    auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(rawLease(fd.fd(), welcome.worker, true, message),
+              "lease_idle");
+    double waited = secondsSince(start);
+    EXPECT_GE(waited, 0.09);
+    EXPECT_LT(waited, 5.0);
+    fd.close();
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/** A stop wakes a held lease instead of waiting out its hold. */
+TEST(DispatchServer, StopDoesNotWaitOutAHeldLease)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    options.leaseTimeoutMs = 60000;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    OwnedFd fd = rawConnect(server.port());
+    WorkerWelcome welcome = rawWorkerHello(fd.fd(), 1);
+    writeFrame(fd.fd(), encodeLeaseRequest(welcome.worker, true));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    auto start = std::chrono::steady_clock::now();
+    server.requestStop();
+    serving.join();
+    EXPECT_LT(secondsSince(start), 1.0);
+}
+
+/**
+ * A worker the server refuses (here every session is shed) learns
+ * why: run() spends its retry budget on the refusals and throws the
+ * server's reason, warning once per distinct reason on the way.
+ */
+TEST(DispatchWorker, RefusedRegistrationSaysWhyAndSpendsTheRetryBudget)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    options.maxClients = 0;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    DispatchWorkerOptions worker_options;
+    worker_options.port = server.port();
+    worker_options.reconnectMs = 10;
+    worker_options.maxReconnectAttempts = 3;
+    DispatchWorker worker(worker_options);
+    std::uint64_t warnings = Logger::instance().warnCount();
+    std::string what;
+    std::atomic<bool> finished{false};
+    std::thread running([&] {
+        try {
+            worker.run();
+        } catch (const TransportError &e) {
+            what = e.what();
+        }
+        finished.store(true);
+    });
+    for (int i = 0; i < 1000 && !finished.load(); ++i)
+        ::usleep(10 * 1000);
+    if (!finished.load()) {
+        ADD_FAILURE() << "run() kept retrying past its budget";
+        worker.requestStop();
+    }
+    running.join();
+    EXPECT_NE(what.find("refused registration"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("capacity"), std::string::npos) << what;
+    EXPECT_NE(what.find("3 attempts"), std::string::npos) << what;
+    EXPECT_EQ(Logger::instance().warnCount() - warnings, 1u);
+    EXPECT_EQ(worker.sessions(), 0u);
+    server.requestStop();
     serving.join();
 }
 

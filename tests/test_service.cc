@@ -230,6 +230,19 @@ TEST(Framing, FuzzRegressionStreamsFailTheDocumentedWay)
     }
 }
 
+/** writeFrame() sends a 4-byte little-endian length, then the payload. */
+TEST(Framing, WriteFrameSendsTheLengthPrefixThenThePayload)
+{
+    int fds[2];
+    ASSERT_EQ(::pipe(fds), 0);
+    OwnedFd reader(fds[0]), writer(fds[1]);
+    writeFrame(writer.fd(), "abc");
+    char raw[8];
+    ASSERT_EQ(::read(reader.fd(), raw, sizeof(raw)), 7);
+    EXPECT_EQ(std::string(raw, 7),
+              std::string("\x03\x00\x00\x00", 4) + "abc");
+}
+
 TEST(Framing, GarbageJsonIsRejectedByReadMessage)
 {
     int fds[2];
@@ -817,6 +830,34 @@ TEST(Server, ShardedRequestsShareCheckpointsAcrossRequests)
         EXPECT_EQ(sharded.results[i].functional,
                   direct[i].functional);
 
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/**
+ * Stall regression: a frame whose prefix and payload leave as two
+ * writes makes every exchange on a reused connection wait out the
+ * peer's delayed ACK under Nagle (~40-90 ms each).  With one write
+ * per frame, twenty round trips take milliseconds.
+ */
+TEST(Server, TwentyPingsOnOneConnectionDoNotStall)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+    {
+        ServiceClient client("127.0.0.1", server.port());
+        client.ping(); // connection set up outside the timing
+        auto start = std::chrono::steady_clock::now();
+        for (int i = 0; i < 20; ++i)
+            client.ping();
+        double ms = std::chrono::duration<double, std::milli>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
+        EXPECT_LT(ms, 400.0) << "20 pings took " << ms << " ms";
+    }
     ServiceClient("127.0.0.1", server.port()).shutdown();
     serving.join();
 }
