@@ -91,6 +91,29 @@ MALFORMED_MID = trace([record(4096 * i) for i in range(1, 4)] +
                       [record(64, i % 2, 2, i % 3 == 0) for i in range(12)])
 
 
+def varint_of_length(length, top):
+    """The smallest or (top) largest value whose varint is length bytes."""
+    if top:
+        return (1 << min(64, 7 * length)) - 1
+    return 0 if length == 1 else 1 << (7 * (length - 1))
+
+
+# Every field takes every varint length from 1 to 10 (both ends of
+# each length's range) next to fields of other lengths, so mutation
+# starts from the decoder's one- and two-byte shortcuts and its loop
+# alike.  The last records sit in the file's final 31 bytes, where
+# TraceReader decodes with bounds checks.
+MIXED_LENGTHS = trace([
+    bytes([i % 2]) + b"".join(
+        varint(varint_of_length(
+            length if f == field else 1 + (length + 3 * f + field) % 10,
+            top))
+        for f in range(3))
+    for i, (field, length, top) in enumerate(
+        (field, length, top) for field in range(3)
+        for length in range(1, 11) for top in (False, True))])
+
+
 def frame(*docs):
     out = b""
     for doc in docs:
@@ -128,6 +151,9 @@ FRAME_SEEDS = {
                          "counters": COUNTERS}),
     "done": frame({"type": "done", "cells": 4, "cache_hits": 1,
                    "simulated": 3}),
+    # A geometry the simulator cannot build: rejected at decode.
+    "sweep_zero_page": frame(dict(SWEEP, config=dict(CONFIG,
+                                                     page_bytes=0))),
     "truncated": frame({"type": "ping"})[:6],
     # kMaxFrameBytes is an inclusive limit; the first rejected
     # length is one past it.
@@ -161,6 +187,8 @@ def main():
         f.write(b"")
     with open(f"{BASE}/trace/malformed_mid.tpf", "wb") as f:
         f.write(MALFORMED_MID)
+    with open(f"{BASE}/trace/mixed_lengths.tpf", "wb") as f:
+        f.write(MIXED_LENGTHS)
 
     for name, blob in FRAME_SEEDS.items():
         with open(f"{BASE}/frame/{name}.bin", "wb") as f:

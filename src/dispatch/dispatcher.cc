@@ -46,6 +46,11 @@ Dispatcher::unregisterWorker(std::uint64_t worker)
     // deadline-paced.
     reclaimLocked(
         [&](const LeaseState &state) { return state.worker == worker; });
+    TLBPF_DCHECK_MSG(std::none_of(_leases.begin(), _leases.end(),
+                                  [&](const auto &entry) {
+                                      return entry.second.worker == worker;
+                                  }),
+                     "unregistered worker ", worker, " still holds a lease");
     _cv.notify_all();
 }
 
@@ -66,8 +71,10 @@ Dispatcher::heartbeatMs() const
 }
 
 bool
-Dispatcher::lease(std::uint64_t worker, LeaseGrant &out, bool wait)
+Dispatcher::lease(std::uint64_t worker, LeaseGrant &out, bool wait,
+                  const std::function<bool()> &hungUp)
 {
+    constexpr std::chrono::milliseconds kHangUpPoll(kHangUpPollMs);
     Clock::time_point until =
         Clock::now() + std::chrono::milliseconds(wait ? heartbeatMs() : 0);
     std::unique_lock<std::mutex> lock(_mutex);
@@ -80,11 +87,27 @@ Dispatcher::lease(std::uint64_t worker, LeaseGrant &out, bool wait)
             return false;
         if (_batch && grantLocked(worker, wit->second, out))
             return true;
-        if (Clock::now() >= until)
+        Clock::time_point now = Clock::now();
+        if (now >= until)
             return false;
         // Woken by anything that queues a leasable task (batch start,
-        // reclaims) or by close(); anything else just re-checks.
-        _cv.wait_until(lock, until);
+        // reclaims) or by close(); anything else just re-checks.  With
+        // a hang-up check, also at least every kHangUpPoll.
+        _cv.wait_until(lock, hungUp ? std::min(until, now + kHangUpPoll)
+                                    : until);
+        if (hungUp) {
+            lock.unlock();
+            bool gone = hungUp();
+            lock.lock();
+            if (gone) {
+                // Only the worker's own session unregisters it, and
+                // that session is the one waiting here.
+                TLBPF_DCHECK_MSG(_workers.count(worker) == 1,
+                                 "worker ", worker,
+                                 " left while its lease was held");
+                return false;
+            }
+        }
     }
 }
 

@@ -123,8 +123,18 @@ class Dispatcher
      * called, or heartbeatMs() passes.  Returns false when nothing
      * was granted (idle), and always after close().  Throws
      * std::invalid_argument for an unregistered worker id.
+     *
+     * A hold also asks @p hungUp (if set, outside the lock) at least
+     * every kHangUpPollMs, and returns false as soon as it says the
+     * worker's connection is gone.  So a worker that dies while idle
+     * is unregistered by its session within that, not after the whole
+     * hold, and no batch starting meanwhile grants it a task.
      */
-    bool lease(std::uint64_t worker, LeaseGrant &out, bool wait = false);
+    bool lease(std::uint64_t worker, LeaseGrant &out, bool wait = false,
+               const std::function<bool()> &hungUp = {});
+
+    /** Longest a held lease() goes without asking its hang-up check. */
+    static constexpr std::uint64_t kHangUpPollMs = 10;
 
     /**
      * Stop granting, for good: every held lease() returns false now

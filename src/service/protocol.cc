@@ -221,6 +221,11 @@ decodeConfig(const JsonValue &object)
         config.trainOnAllRefs = v->asBool();
     if (const JsonValue *v = object.find("context_switch_interval"))
         config.contextSwitchInterval = v->asU64();
+    // Sweep requests and lease grants both land here: a geometry the
+    // simulator would exit on must cost the peer an error, not the
+    // process.
+    if (std::string why = config.invalidReason(); !why.empty())
+        throw std::invalid_argument("config: " + why);
     return config;
 }
 

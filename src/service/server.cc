@@ -42,6 +42,20 @@ makeReply(std::size_t index, const SweepResult &result, bool cached)
     return reply;
 }
 
+/**
+ * True once the peer of @p fd has closed or reset the connection.  A
+ * message waiting to be read (a heartbeat) does not count.
+ */
+bool
+peerHungUp(int fd)
+{
+    pollfd waiter{};
+    waiter.fd = fd;
+    waiter.events = POLLRDHUP;
+    return ::poll(&waiter, 1, 0) > 0 &&
+           (waiter.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
+}
+
 DispatcherOptions
 dispatcherOptions(const ServerOptions &options)
 {
@@ -257,8 +271,14 @@ SweepServer::workerLoop(int fd, std::uint64_t worker)
                 throw std::invalid_argument(
                     "lease names a different worker id");
             LeaseGrant grant;
-            if (_dispatcher.lease(worker, grant, request.wait))
+            bool hung_up = false;
+            auto hungUp = [fd, &hung_up] {
+                return hung_up = peerHungUp(fd);
+            };
+            if (_dispatcher.lease(worker, grant, request.wait, hungUp))
                 writeFrame(fd, grant.encode());
+            else if (hung_up)
+                return; // handleWorker() unregisters the worker
             else
                 writeFrame(fd, encodeLeaseIdle());
         } else if (type == "heartbeat") {

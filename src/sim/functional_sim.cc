@@ -5,13 +5,26 @@
 
 #include "util/bits.hh"
 #include "util/check.hh"
+#include "util/logging.hh"
 
 namespace tlbpf
 {
 
+std::string
+SimConfig::invalidReason() const
+{
+    if (pageBytes == 0)
+        return "page size must be at least one byte";
+    if (std::string why = tlb.invalidReason(); !why.empty())
+        return why;
+    return PrefetchBuffer::invalidReason(pbEntries);
+}
+
 SimFrontEnd::SimFrontEnd(const SimConfig &config)
     : _config(config), _tlb(config.tlb)
 {
+    if (std::string why = config.invalidReason(); !why.empty())
+        tlbpf_fatal(why);
     if (isPowerOfTwo(_config.pageBytes))
         _pageShift = floorLog2(_config.pageBytes);
 }
@@ -53,6 +66,37 @@ SimFrontEnd::process(const MemRef &ref, std::span<MechanismBackEnd> backs)
     Vpn evicted = _tlb.insert(vpn).value_or(kNoPage);
     for (MechanismBackEnd &back : backs)
         back.onMiss(vpn, ref.pc, evicted, _tlb);
+}
+
+void
+SimFrontEnd::processBlock(const MemRef *refs, std::size_t n,
+                          std::span<MechanismBackEnd> backs)
+{
+    const std::uint64_t interval = _config.contextSwitchInterval;
+    std::size_t i = 0;
+    while (i < n) {
+        process(refs[i], backs);
+        Vpn vpn = pageOf(refs[i]);
+        ++i;
+        // How many of the following references may skip process():
+        // none when hits train the back ends, and none past the next
+        // context switch.
+        std::size_t cap = _config.trainOnAllRefs ? 0 : n - i;
+        if (interval && cap) {
+            std::uint64_t since = _counters.refs % interval;
+            cap = since == 0 ? 0
+                             : static_cast<std::size_t>(std::min<
+                                   std::uint64_t>(cap, interval - since));
+        }
+        std::size_t end = i;
+        while (end < i + cap && pageOf(refs[end]) == vpn)
+            ++end;
+        if (end == i)
+            continue;
+        _tlb.repeatLastHit(vpn, end - i);
+        _counters.refs += end - i;
+        i = end;
+    }
 }
 
 MechanismBackEnd::MechanismBackEnd(const SimConfig &config,
@@ -380,8 +424,7 @@ simulateWindow(FunctionalSimulator &sim, RefStream &stream,
         std::size_t want = static_cast<std::size_t>(
             std::min<std::uint64_t>(take - processed, block.size()));
         std::size_t got = stream.nextBatch(block.data(), want);
-        for (std::size_t i = 0; i < got; ++i)
-            sim.process(block[i]);
+        sim.processBlock(block.data(), got);
         processed += got;
         if (got < want)
             break;

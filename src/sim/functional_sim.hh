@@ -70,6 +70,15 @@ struct SimConfig
      */
     std::uint64_t contextSwitchInterval = 0;
 
+    /**
+     * Why no simulator can be built with this geometry, or "" if one
+     * can: a page size of 0, or a TLB or buffer its own constructor
+     * rejects (TlbConfig::invalidReason,
+     * PrefetchBuffer::invalidReason).  The simulators exit on it
+     * through tlbpf_fatal; the service rejects a request with it.
+     */
+    std::string invalidReason() const;
+
     bool operator==(const SimConfig &other) const = default;
 };
 
@@ -158,6 +167,30 @@ class SimFrontEnd
      * under trainOnAllRefs.
      */
     void process(const MemRef &ref, std::span<MechanismBackEnd> backs);
+
+    /**
+     * Feed @p refs[0, n) as n process() calls would, but simulate a
+     * run of consecutive references to one page as one process() of
+     * its first reference plus one O(1) TLB update for the rest.
+     *
+     * Why a run is exact: after process() of a reference to page P,
+     * P is resident and is the TLB's last hit, and nothing is evicted
+     * before the next miss.  A hit on the last hit only stamps it with
+     * the next clock value, and hits reach back ends only under
+     * trainOnAllRefs.  So, absent a context switch, the next k
+     * references to P only add k to refs and to the TLB clock
+     * (Tlb::repeatLastHit).
+     *
+     * What caps a run: under trainOnAllRefs nothing is skipped, since
+     * every hit trains the back ends.  Under contextSwitchInterval N a
+     * switch fires before a reference whose preceding count is a
+     * multiple of N.  With r references counted once the run's first
+     * is processed, at most N - r % N more can be skipped (none when
+     * r % N == 0); the reference at the switch goes through process(),
+     * which flushes as it always does.
+     */
+    void processBlock(const MemRef *refs, std::size_t n,
+                      std::span<MechanismBackEnd> backs);
 
     const SimConfig &config() const { return _config; }
     const Tlb &tlb() const { return _tlb; }
@@ -263,6 +296,17 @@ class FunctionalSimulator
 
     /** Feed one reference to every mechanism. */
     void process(const MemRef &ref) { _front.process(ref, _backs); }
+
+    /**
+     * Feed @p n references to every mechanism, a same-page run at a
+     * time (SimFrontEnd::processBlock): the same state and counters as
+     * n process() calls.
+     */
+    void
+    processBlock(const MemRef *refs, std::size_t n)
+    {
+        _front.processBlock(refs, n, _backs);
+    }
 
     /** Number of back ends (mechanisms), in construction order. */
     std::size_t mechanisms() const { return _backs.size(); }

@@ -10,9 +10,15 @@ namespace tlbpf
 PrefetchBuffer::PrefetchBuffer(std::uint32_t entries)
     : _capacity(entries)
 {
-    if (entries == 0)
-        tlbpf_fatal("prefetch buffer needs at least one entry");
+    if (std::string why = invalidReason(entries); !why.empty())
+        tlbpf_fatal(why);
     _nodes.reserve(entries);
+}
+
+std::string
+PrefetchBuffer::invalidReason(std::uint32_t entries)
+{
+    return entries == 0 ? "prefetch buffer needs at least one entry" : "";
 }
 
 bool

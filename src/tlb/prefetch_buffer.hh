@@ -15,6 +15,7 @@
 #define TLBPF_TLB_PREFETCH_BUFFER_HH
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "mem/prefetch_channel.hh"
@@ -29,6 +30,12 @@ class PrefetchBuffer
 {
   public:
     explicit PrefetchBuffer(std::uint32_t entries);
+
+    /**
+     * Why a buffer of @p entries cannot be built, or "" if it can: the
+     * constructor's rule, which the service's config decoder shares.
+     */
+    static std::string invalidReason(std::uint32_t entries);
 
     /**
      * Probe for @p vpn and, on a hit, remove the entry (it moves to the

@@ -15,23 +15,26 @@ constexpr std::uint32_t kNoSlot = WideSetIndex::kNoSlot;
 
 } // namespace
 
+std::string
+TlbConfig::invalidReason() const
+{
+    if (entries == 0)
+        return "TLB needs at least one entry";
+    if (assoc != 0 && entries % assoc != 0)
+        return "TLB entries (" + std::to_string(entries) +
+               ") must be a multiple of associativity (" +
+               std::to_string(assoc) + ")";
+    if (!isPowerOfTwo(numSets()))
+        return "number of TLB sets must be a power of two";
+    return "";
+}
+
 Tlb::Tlb(const TlbConfig &config)
     : _config(config)
 {
-    if (config.entries == 0)
-        tlbpf_fatal("TLB needs at least one entry");
-    if (config.assoc == 0) {
-        _ways = config.entries;
-    } else {
-        if (config.entries % config.assoc != 0) {
-            tlbpf_fatal("TLB entries (", config.entries,
-                        ") must be a multiple of associativity (",
-                        config.assoc, ")");
-        }
-        if (!isPowerOfTwo(config.numSets()))
-            tlbpf_fatal("number of TLB sets must be a power of two");
-        _ways = config.assoc;
-    }
+    if (std::string why = config.invalidReason(); !why.empty())
+        tlbpf_fatal(why);
+    _ways = config.assoc == 0 ? config.entries : config.assoc;
     _entries.resize(static_cast<std::size_t>(_config.numSets()) * _ways);
     _index = WideSetIndex(_config.numSets(), _ways);
 }

@@ -10,9 +10,11 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "trace/ref_stream.hh"
+#include "util/check.hh"
 #include "util/snapshot.hh"
 #include "util/wide_set_index.hh"
 
@@ -33,6 +35,14 @@ struct TlbConfig
         return assoc == 0 ? 1 : entries / assoc;
     }
 
+    /**
+     * Why a Tlb cannot be built with this geometry, or "" if it can:
+     * it needs at least one entry, and the ways must split the entries
+     * into a power-of-two number of sets.  The Tlb constructor and the
+     * service's config decoder both apply this one rule set.
+     */
+    std::string invalidReason() const;
+
     bool operator==(const TlbConfig &other) const = default;
 };
 
@@ -50,6 +60,27 @@ class Tlb
      * @return true on hit.
      */
     bool access(Vpn vpn);
+
+    /**
+     * @p count more accesses to @p vpn, which must be the page the
+     * last access() or insert() left resident: exactly what @p count
+     * calls of access(vpn) would do.  Each would take the last-hit
+     * fast path and only stamp the entry with the next clock value, so
+     * the clock advances by @p count and the entry keeps the last
+     * stamp.  The entry stays its set's most recently used, so the
+     * recency index needs no touch.
+     */
+    void
+    repeatLastHit(Vpn vpn, std::uint64_t count)
+    {
+        TLBPF_DCHECK_MSG(_lastHit != WideSetIndex::kNoSlot &&
+                             _entries[_lastHit].valid &&
+                             _entries[_lastHit].vpn == vpn,
+                         "repeatLastHit(", vpn,
+                         ") is not a repeat of the last hit");
+        _clock += count;
+        _entries[_lastHit].lastUse = _clock;
+    }
 
     /** Probe without touching replacement state. */
     bool contains(Vpn vpn) const;

@@ -115,6 +115,22 @@ Decode
 decodeVarint(const std::uint8_t *&p, const std::uint8_t *end,
              std::uint64_t &v)
 {
+    if constexpr (!Checked) {
+        // Nearly every field of a trace is one or two bytes long: read
+        // those without the loop (both bytes are readable here).
+        std::uint64_t b0 = p[0];
+        if (b0 < 0x80) {
+            v = b0;
+            p += 1;
+            return Decode::Ok;
+        }
+        std::uint64_t b1 = p[1];
+        if (b1 < 0x80) {
+            v = (b0 & 0x7f) | (b1 << 7);
+            p += 2;
+            return Decode::Ok;
+        }
+    }
     v = 0;
     for (unsigned shift = 0;; shift += 7) {
         if (Checked && p == end)

@@ -312,6 +312,27 @@ TEST(DispatchProtocol, RejectsMalformedVerbs)
                      "\"chain\":false,\"jobs\":[]}")),
                  std::invalid_argument);
 
+    // A grant whose geometry no simulator can build is rejected at
+    // decode, as a sweep request's is: running it would kill the
+    // worker.  The empty config is the control.
+    auto grantWith = [](const std::string &config) {
+        return JsonValue::parse(
+            "{\"type\":\"lease_grant\",\"lease\":1,\"chain\":false,"
+            "\"jobs\":[{\"workload\":\"mcf\",\"mechanism\":\"DP,256,D\","
+            "\"refs\":1000,\"config\":" +
+            config + "}]}");
+    };
+    EXPECT_NO_THROW(LeaseGrant::decode(grantWith("{}")));
+    for (const char *config : {
+             "{\"page_bytes\":0}",
+             "{\"tlb_entries\":0}",
+             "{\"pb_entries\":0}",
+             "{\"tlb_entries\":128,\"tlb_assoc\":3}",
+         })
+        EXPECT_THROW(LeaseGrant::decode(grantWith(config)),
+                     std::invalid_argument)
+            << "config: " << config;
+
     // A cell_result is a success XOR an error, never both or neither.
     for (const char *bad : {
              "{\"type\":\"cell_result\",\"lease\":1}",
@@ -1489,6 +1510,37 @@ TEST(DispatchServer, HeldLeaseEndsIdleAfterOneHeartbeat)
     EXPECT_GE(waited, 0.09);
     EXPECT_LT(waited, 5.0);
     fd.close();
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/**
+ * A worker whose connection closes while its lease is held leaves the
+ * server's worker count within a few hang-up polls, not at the end of
+ * its 15 s hold, so no batch starting meanwhile can grant it a task.
+ */
+TEST(DispatchServer, WorkerClosedDuringAHeldLeaseLeavesAtOnce)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    options.leaseTimeoutMs = 60000; // holds last 15 s
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    OwnedFd fd = rawConnect(server.port());
+    WorkerWelcome welcome = rawWorkerHello(fd.fd(), 1);
+    writeFrame(fd.fd(), encodeLeaseRequest(welcome.worker, true));
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_EQ(server.stats().workers, 1u);
+
+    auto start = std::chrono::steady_clock::now();
+    fd.close();
+    while (server.stats().workers != 0 && secondsSince(start) < 5.0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    double left = secondsSince(start);
+    EXPECT_EQ(server.stats().workers, 0u);
+    EXPECT_LT(left, 0.2);
     ServiceClient("127.0.0.1", server.port()).shutdown();
     serving.join();
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the functional simulator: metric definitions, the
- * prefetch-buffer promotion flow, and duplicate suppression.
+ * prefetch-buffer promotion flow, duplicate suppression, and block
+ * feeding (processBlock) against per-reference process().
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include "sim/functional_sim.hh"
 #include "trace/ref_stream.hh"
 #include "util/random.hh"
+#include "workload/workload_spec.hh"
 
 namespace tlbpf
 {
@@ -258,6 +260,130 @@ TEST(FunctionalSim, PageSizeChangesFootprint)
     EXPECT_EQ(r4k.footprintPages, 64u);
     EXPECT_EQ(r16k.footprintPages, 16u);
     EXPECT_GT(r4k.misses, r16k.misses);
+}
+
+// ------------------------------------------- blocks vs references
+
+/** Every reference @p stream yields. */
+std::vector<MemRef>
+drain(RefStream &stream)
+{
+    std::vector<MemRef> refs;
+    MemRef ref;
+    while (stream.next(ref))
+        refs.push_back(ref);
+    return refs;
+}
+
+/**
+ * Same-page runs whose lengths straddle the 4096-reference block, the
+ * 1000- and 3-reference switch intervals and the 7-reference block,
+ * over more pages than a 128-entry TLB holds, with in-page offsets
+ * that move run boundaries under a non-power-of-two page size.
+ */
+std::vector<MemRef>
+runStream()
+{
+    const std::uint64_t lengths[] = {1,   2,    3,    5,    7,    8,
+                                     999, 1000, 1001, 4095, 4096, 4097,
+                                     6000};
+    std::vector<MemRef> refs;
+    Rng rng(2024);
+    Vpn page = 0;
+    std::uint64_t icount = 0;
+    while (refs.size() < 20000) {
+        // Mostly a sequential walk, sometimes a jump back or ahead.
+        page = rng.nextBelow(4) == 0 ? rng.nextBelow(300) : page + 1;
+        std::uint64_t run = lengths[rng.nextBelow(std::size(lengths))];
+        for (std::uint64_t k = 0; k < run; ++k) {
+            Addr offset = (k * 40) % kDefaultPageBytes;
+            refs.push_back(MemRef{page * kDefaultPageBytes + offset,
+                                  0x4000 + 4 * (page % 16), k % 3 == 0,
+                                  icount});
+            icount += 2;
+        }
+    }
+    return refs;
+}
+
+/** The configurations whose caps and geometry processBlock must keep. */
+std::vector<std::pair<std::string, SimConfig>>
+blockConfigs()
+{
+    std::vector<std::pair<std::string, SimConfig>> out;
+    out.emplace_back("default", SimConfig{});
+    for (std::uint64_t interval : {1, 3, 1000}) {
+        SimConfig config;
+        config.contextSwitchInterval = interval;
+        out.emplace_back("switch every " + std::to_string(interval),
+                         config);
+    }
+    SimConfig all_refs;
+    all_refs.trainOnAllRefs = true;
+    out.emplace_back("trainOnAllRefs", all_refs);
+    SimConfig odd_page;
+    odd_page.pageBytes = 3000;
+    out.emplace_back("3000-byte pages", odd_page);
+    SimConfig four_way;
+    four_way.tlb = TlbConfig{64, 4};
+    out.emplace_back("64-entry 4-way TLB", four_way);
+    SimConfig small_buffer;
+    small_buffer.pbEntries = 4;
+    out.emplace_back("4-entry buffer", small_buffer);
+    return out;
+}
+
+TEST(FunctionalSimBlocks, BlocksMatchSingleReferences)
+{
+    const std::vector<MechanismSpec> specs = {
+        spec("none"),      spec("RP"),        spec("DP,256,D"),
+        spec("MP,256,F"),  spec("ASP,256,D"), spec("hybrid(dp+sp)")};
+    std::vector<std::pair<std::string, std::vector<MemRef>>> streams;
+    for (const char *text : {"ammp", "galgel", "mix:mcf+gcc@5k"}) {
+        std::unique_ptr<RefStream> stream =
+            WorkloadSpec::parse(text).build(20000);
+        streams.emplace_back(text, drain(*stream));
+    }
+    streams.emplace_back("runs", runStream());
+
+    for (const auto &[stream_name, refs] : streams) {
+        const std::size_t n = refs.size();
+        // Comparison points; the first two fall inside blocks.
+        const std::size_t stops[] = {n / 5 + 1, n / 2 + 3, n};
+        for (const auto &[config_name, config] : blockConfigs()) {
+            const std::size_t block_sizes[] = {1, 7, 4096};
+            FunctionalSimulator single(config, specs);
+            std::vector<std::unique_ptr<FunctionalSimulator>> blocked;
+            for (std::size_t b = 0; b < std::size(block_sizes); ++b)
+                blocked.push_back(
+                    std::make_unique<FunctionalSimulator>(config, specs));
+            std::size_t pos = 0;
+            for (std::size_t stop : stops) {
+                for (std::size_t b = 0; b < std::size(block_sizes); ++b)
+                    for (std::size_t at = pos; at < stop;
+                         at += block_sizes[b])
+                        blocked[b]->processBlock(
+                            refs.data() + at,
+                            std::min(block_sizes[b], stop - at));
+                for (; pos < stop; ++pos)
+                    single.process(refs[pos]);
+                for (std::size_t b = 0; b < std::size(block_sizes); ++b) {
+                    FunctionalSimulator &sim = *blocked[b];
+                    for (std::size_t i = 0; i < specs.size(); ++i) {
+                        SCOPED_TRACE(stream_name + ", " + config_name +
+                                     ", block " +
+                                     std::to_string(block_sizes[b]) +
+                                     ", " + specs[i].label() + ", at " +
+                                     std::to_string(stop));
+                        ASSERT_EQ(sim.result(i), single.result(i));
+                        // Equal bytes pin the TLB clock and use stamps.
+                        ASSERT_EQ(sim.snapshot(i).bytes,
+                                  single.snapshot(i).bytes);
+                    }
+                }
+            }
+        }
+    }
 }
 
 } // namespace

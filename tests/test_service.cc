@@ -895,6 +895,56 @@ TEST(Server, InvalidMechanismGetsAnErrorFrameAndTheServerLives)
 }
 
 /**
+ * A geometry the simulator cannot build (page size 0, no TLB entries,
+ * no buffer entries, ways that do not split the TLB into a power-of-two
+ * number of sets) costs the client an error frame, never the server:
+ * the same server answers the next valid request.
+ */
+TEST(Server, UnbuildableGeometryGetsAnErrorFrameAndTheServerLives)
+{
+    ServerOptions options;
+    options.port = 0;
+    options.threads = 1;
+    SweepServer server(options);
+    std::thread serving([&] { server.serve(); });
+
+    SimConfig zero_page;
+    zero_page.pageBytes = 0;
+    SimConfig no_tlb;
+    no_tlb.tlb.entries = 0;
+    SimConfig no_buffer;
+    no_buffer.pbEntries = 0;
+    SimConfig three_way;
+    three_way.tlb = TlbConfig{128, 3};
+    for (const SimConfig &config :
+         {zero_page, no_tlb, no_buffer, three_way}) {
+        SweepRequest request;
+        request.workloads = {"app:gcc"};
+        request.mechanisms = {"DP,256,D"};
+        request.refs = kRefs;
+        request.config = config;
+        SCOPED_TRACE(encodeConfig(config));
+        try {
+            ServiceClient("127.0.0.1", server.port()).sweep(request);
+            ADD_FAILURE() << "the server ran an unbuildable geometry";
+        } catch (const std::runtime_error &e) {
+            std::string what = e.what();
+            EXPECT_NE(what.find("server error"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("config: "), std::string::npos) << what;
+        }
+        request.config = SimConfig{};
+        ServiceClient::SweepOutcome outcome =
+            ServiceClient("127.0.0.1", server.port()).sweep(request);
+        ASSERT_EQ(outcome.results.size(), 1u);
+        EXPECT_EQ(outcome.results[0].functional.refs, kRefs);
+    }
+
+    ServiceClient("127.0.0.1", server.port()).shutdown();
+    serving.join();
+}
+
+/**
  * The cycle model does not simulate context switches, so a timed
  * request that sets context_switch_interval gets an error frame
  * instead of the unflushed answer; the same server then answers the

@@ -13,6 +13,7 @@
 #include "trace/ref_stream.hh"
 #include "trace/trace_file.hh"
 #include "trace_oracle.hh"
+#include "util/bits.hh"
 #include "workload/app_registry.hh"
 
 namespace tlbpf
@@ -542,6 +543,90 @@ TEST_F(TraceFileTest, LongestRecordsRoundTrip)
               kTraceHeaderBytes + refs.size() * kTraceMaxRecordBytes);
     EXPECT_EQ(oracleDecode(readFile(_path), _path).refs, refs);
     expectMatchesOracle(_path);
+}
+
+/** The smallest (@p top false) or largest value whose varint is @p len bytes. */
+std::uint64_t
+varintOfLength(unsigned len, bool top)
+{
+    if (!top)
+        return len == 1 ? 0 : std::uint64_t{1} << (7 * (len - 1));
+    return len == 10 ? ~std::uint64_t{0}
+                     : (std::uint64_t{1} << (7 * len)) - 1;
+}
+
+/**
+ * Every field takes every varint length from 1 to 10, at both ends of
+ * that length's range, next to other fields of other lengths.  Each
+ * record decodes mid-buffer (the unchecked path, which reads one- and
+ * two-byte varints without its loop) and as the file's last record
+ * (the checked tail).
+ */
+TEST_F(TraceFileTest, EveryVarintLengthInEveryFieldDecodes)
+{
+    std::vector<MemRef> refs;
+    std::size_t body_bytes = 0;
+    MemRef prev;
+    for (unsigned field = 0; field < 3; ++field) {
+        for (unsigned len = 1; len <= 10; ++len) {
+            for (bool top : {false, true}) {
+                // Field `field` is len bytes; the others cycle through
+                // the remaining lengths.
+                std::uint64_t coded[3];
+                for (unsigned f = 0; f < 3; ++f) {
+                    unsigned flen =
+                        f == field ? len : 1 + (len + 3 * f + field) % 10;
+                    coded[f] = varintOfLength(flen, top);
+                    body_bytes += flen;
+                }
+                ++body_bytes; // the flag byte
+                MemRef r;
+                r.vaddr = prev.vaddr + static_cast<Addr>(
+                                           zigZagDecode(coded[0]));
+                r.pc = prev.pc + static_cast<Addr>(zigZagDecode(coded[1]));
+                r.isWrite = refs.size() % 2 == 1;
+                r.icount = prev.icount + coded[2];
+                refs.push_back(r);
+                prev = r;
+            }
+        }
+    }
+    auto write = [&](std::size_t count, std::size_t padding) {
+        TraceWriter writer(_path);
+        for (std::size_t i = 0; i < count; ++i)
+            writer.write(refs[i]);
+        // Five-byte records after the last: the ones above sit at
+        // least kTraceMaxRecordBytes before the end of the file.
+        MemRef pad = count ? refs[count - 1] : MemRef{};
+        for (std::size_t i = 0; i < padding; ++i) {
+            pad.vaddr += 64;
+            writer.write(pad);
+        }
+    };
+
+    write(refs.size(), 8);
+    ASSERT_EQ(readFile(_path).size(),
+              kTraceHeaderBytes + body_bytes + 8 * 5);
+    OracleDecode whole = oracleDecode(readFile(_path), _path);
+    EXPECT_EQ(whole.error, "");
+    EXPECT_EQ(std::vector<MemRef>(whole.refs.begin(),
+                                  whole.refs.begin() +
+                                      static_cast<std::ptrdiff_t>(
+                                          refs.size())),
+              refs);
+    expectMatchesOracle(_path);
+
+    for (std::size_t last = 1; last <= refs.size(); ++last) {
+        SCOPED_TRACE("record " + std::to_string(last - 1) + " last");
+        write(last, 0);
+        OracleDecode want = oracleDecode(readFile(_path), _path);
+        EXPECT_EQ(want.refs,
+                  std::vector<MemRef>(refs.begin(),
+                                      refs.begin() +
+                                          static_cast<std::ptrdiff_t>(
+                                              last)));
+        expectMatchesOracle(_path);
+    }
 }
 
 TEST_F(TraceFileTest, LongTraceDecodesAcrossBufferRefills)
