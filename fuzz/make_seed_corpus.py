@@ -154,6 +154,10 @@ FRAME_SEEDS = {
     # A geometry the simulator cannot build: rejected at decode.
     "sweep_zero_page": frame(dict(SWEEP, config=dict(CONFIG,
                                                      page_bytes=0))),
+    # A 32-bit geometry field past 2^32: rejected at decode, never
+    # truncated to the 128-entry TLB its low word names.
+    "sweep_wide_tlb": frame(dict(SWEEP, config=dict(
+        CONFIG, tlb_entries=4294967424))),
     "truncated": frame({"type": "ping"})[:6],
     # kMaxFrameBytes is an inclusive limit; the first rejected
     # length is one past it.

@@ -86,8 +86,7 @@ WorkerHello::decode(const JsonValue &message)
     requireKnownKeys(message, "worker hello",
                      {"type", "protocol", "threads"});
     WorkerHello hello;
-    hello.protocol =
-        static_cast<std::uint32_t>(message.at("protocol").asU64());
+    hello.protocol = decodeU32(message.at("protocol"), "protocol");
     if (hello.protocol < kMinDispatchProtocolVersion ||
         hello.protocol > kDispatchProtocolVersion)
         throw std::invalid_argument(

@@ -389,7 +389,8 @@ Dispatcher::runBatch(const Plan &plan,
     batch.results = &results;
     const std::vector<Task> &tasks = plan.tasks();
     for (std::size_t t = 0; t < tasks.size(); ++t) {
-        // Only a Cell can be timed; a Pass or Chain is functional.
+        // A task's jobs share one mode: a timed Cell or Pass stays
+        // local, and a Chain is always functional.
         batch.localOnly.push_back(plan.jobs()[tasks[t].first].mode !=
                                   JobMode::Functional);
         batch.queue.push_back(t);

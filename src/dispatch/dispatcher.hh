@@ -37,9 +37,9 @@
  * With no workers registered at batch start, runBatch() is exactly
  * SweepEngine::run(plan) — the pre-dispatch server behaviour.
  *
- * Only functional tasks are leased; timed cells always run locally
- * (their TimingConfig carries doubles the integer-exact wire format
- * deliberately does not).
+ * Only functional tasks are leased; timed cells and passes always run
+ * locally (their TimingConfig carries doubles the integer-exact wire
+ * format deliberately does not).
  */
 
 #ifndef TLBPF_DISPATCH_DISPATCHER_HH

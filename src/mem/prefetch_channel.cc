@@ -13,16 +13,7 @@ PrefetchChannel::issue(Tick now, unsigned num_ops)
     res.done = res.start + static_cast<Tick>(num_ops) * _opCost;
     _busyUntil = res.done;
     _totalOps += num_ops;
-    _busyCycles += res.done - res.start;
     return res;
-}
-
-void
-PrefetchChannel::reset()
-{
-    _busyUntil = 0;
-    _totalOps = 0;
-    _busyCycles = 0;
 }
 
 } // namespace tlbpf

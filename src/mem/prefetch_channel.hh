@@ -43,21 +43,14 @@ class PrefetchChannel
     bool busyAt(Tick now) const { return _busyUntil > now; }
 
     Tick busyUntil() const { return _busyUntil; }
-    Tick opCost() const { return _opCost; }
 
     /** Total operations ever issued (memory traffic metric). */
     std::uint64_t totalOps() const { return _totalOps; }
-
-    /** Total cycles the channel spent busy. */
-    Tick busyCycles() const { return _busyCycles; }
-
-    void reset();
 
   private:
     Tick _opCost;
     Tick _busyUntil = 0;
     std::uint64_t _totalOps = 0;
-    Tick _busyCycles = 0;
 };
 
 } // namespace tlbpf

@@ -30,7 +30,6 @@
 
 #include "prefetch/mech_spec.hh"
 #include "sim/functional_sim.hh"
-#include "sim/timing_sim.hh"
 #include "workload/workload_spec.hh"
 
 namespace tlbpf
@@ -83,18 +82,14 @@ struct SweepJob
         return job;
     }
 
-    /** Rough cost multiplier of the cycle model over functional. */
-    static constexpr std::uint64_t kTimedCostFactor = 2;
-
     /**
      * Relative execution-cost estimate of this cell, in "references
      * simulated" units, for the pool's weighted scheduler.  A plain
      * cell costs its reference budget; a `spec#k/N` shard costs its
      * stream position at window end (replay warm-up simulates the
-     * whole prefix [0, begin) before recording the window); a timed
-     * cell pays the cycle model's constant factor.  Only the order of
-     * the weights matters — a misjudged task merely starts later than
-     * it should — so the estimate stays deliberately crude.
+     * whole prefix [0, begin) before recording the window).  Only the
+     * order of the weights matters — a misjudged task merely starts
+     * later than it should — so the estimate stays deliberately crude.
      */
     std::uint64_t
     costWeight() const
@@ -104,8 +99,6 @@ struct SweepJob
         std::uint64_t cost = refs;
         if (workload.sharded())
             cost = workload.shardWindow(refs).second;
-        if (mode == JobMode::Timed)
-            cost *= kTimedCostFactor;
         return cost ? cost : 1;
     }
 };

@@ -92,16 +92,20 @@ namespace
 bool
 passBatchable(const SweepJob &job)
 {
-    return job.mode == JobMode::Functional && !job.workload.sharded() &&
-           job.refs > 0;
+    return !job.workload.sharded() && job.refs > 0;
 }
 
-/** Whether two cells, or shards of cells, drain the very same stream. */
+/**
+ * Whether two cells, or shards of cells, drain the very same stream
+ * into one simulator: one workload, budget, geometry and mode, and for
+ * timed cells one set of cycle-model parameters.
+ */
 bool
 sameStream(const SweepJob &a, const SweepJob &b)
 {
     return a.workload.base() == b.workload.base() && a.refs == b.refs &&
-           a.config == b.config;
+           a.config == b.config && a.mode == b.mode &&
+           (a.mode == JobMode::Functional || a.timing == b.timing);
 }
 
 /** The groups of @p n borrowed jobs that fold nothing: all of one. */
@@ -251,8 +255,11 @@ runStreamPass(const std::vector<SweepJob> &jobs, const Task &task,
             specs.push_back(job.spec);
     }
 
+    const bool timed = lead.mode == JobMode::Timed;
     auto stream = lead.workload.base().build(lead.refs);
-    FunctionalSimulator sim(lead.config, specs);
+    FunctionalSimulator sim(lead.config, specs,
+                            timed ? std::optional(lead.timing)
+                                  : std::nullopt);
     std::uint64_t pos = 0;
     for (std::uint32_t k = 0; k < shards; ++k) {
         std::uint64_t end = chain[k].workload.shardWindow(lead.refs).second;
@@ -265,6 +272,8 @@ runStreamPass(const std::vector<SweepJob> &jobs, const Task &task,
             result.workload = job.workload.label();
             result.mechanism = job.spec.label();
             result.functional = deltas[c];
+            if (timed)
+                result.timed = sim.timing(c);
             if (hook)
                 hook->store(checkpointKey(job, end), sim.snapshot(c));
         }

@@ -13,9 +13,10 @@
  * with a kind and a cost weight for the pool's LPT hand-out:
  *
  *   Cell   one job through runSweepJob(job, hook)   costWeight()
- *   Pass   consecutive functional cells sharing a   costWeight() x width
- *          workload, budget and geometry, through
- *          one stream pass for all their mechanisms
+ *   Pass   consecutive cells sharing a workload,    costWeight() x width
+ *          budget, geometry and mode (and cycle
+ *          model), through one stream pass for all
+ *          their mechanisms
  *   Chain  the shards of one or more cells over     max(refs, 1) x cells
  *          one stream, cell-major: one simulator
  *          for all their mechanisms steps through
@@ -60,8 +61,8 @@ enum class ShardWarmup
 enum class PassMode
 {
     PerMechanism, ///< every cell drains its own stream
-    SinglePass    ///< adjacent same-stream functional cells: one Pass,
-                  ///< or one Chain when sharded
+    SinglePass    ///< adjacent same-stream cells: one Pass, or one
+                  ///< Chain when sharded
 };
 
 /** Canonical flag value: "per-mechanism" or "single-pass". */

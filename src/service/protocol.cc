@@ -171,6 +171,17 @@ parseJobMode(const std::string &text)
                                 "' (expected functional or timed)");
 }
 
+std::uint32_t
+decodeU32(const JsonValue &value, const char *field)
+{
+    std::uint64_t v = value.asU64();
+    if (v > UINT32_MAX)
+        throw std::invalid_argument(std::string(field) +
+                                    " must fit in 32 bits, got " +
+                                    std::to_string(v));
+    return static_cast<std::uint32_t>(v);
+}
+
 void
 requireKnownKeys(const JsonValue &object, const char *what,
                  const std::vector<std::string> &allowed)
@@ -210,11 +221,11 @@ decodeConfig(const JsonValue &object)
                       "context_switch_interval"});
     SimConfig config;
     if (const JsonValue *v = object.find("tlb_entries"))
-        config.tlb.entries = static_cast<std::uint32_t>(v->asU64());
+        config.tlb.entries = decodeU32(*v, "tlb_entries");
     if (const JsonValue *v = object.find("tlb_assoc"))
-        config.tlb.assoc = static_cast<std::uint32_t>(v->asU64());
+        config.tlb.assoc = decodeU32(*v, "tlb_assoc");
     if (const JsonValue *v = object.find("pb_entries"))
-        config.pbEntries = static_cast<std::uint32_t>(v->asU64());
+        config.pbEntries = decodeU32(*v, "pb_entries");
     if (const JsonValue *v = object.find("page_bytes"))
         config.pageBytes = v->asU64();
     if (const JsonValue *v = object.find("train_on_all_refs"))

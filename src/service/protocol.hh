@@ -138,6 +138,13 @@ JobMode parseJobMode(const std::string &text);
 void requireKnownKeys(const JsonValue &object, const char *what,
                       const std::vector<std::string> &allowed);
 
+/**
+ * @p value as the 32-bit wire field @p field; throws
+ * std::invalid_argument naming @p field for an integer that does not
+ * fit, which a cast would silently turn into another value.
+ */
+std::uint32_t decodeU32(const JsonValue &value, const char *field);
+
 /** Simulator geometry as a JSON object (exact integers). */
 std::string encodeConfig(const SimConfig &config);
 

@@ -14,7 +14,6 @@
 
 #include "prefetch/mech_spec.hh"
 #include "sim/functional_sim.hh"
-#include "sim/timing_sim.hh"
 #include "workload/app_registry.hh"
 #include "workload/workload_spec.hh"
 

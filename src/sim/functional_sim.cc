@@ -50,6 +50,7 @@ SimFrontEnd::process(const MemRef &ref, std::span<MechanismBackEnd> backs)
         ++_counters.contextSwitches;
     }
     ++_counters.refs;
+    _lastIcount = ref.icount;
     Vpn vpn = pageOf(ref);
 
     if (_tlb.access(vpn)) {
@@ -65,7 +66,7 @@ SimFrontEnd::process(const MemRef &ref, std::span<MechanismBackEnd> backs)
     _pt.lookup(vpn); // materialise the translation
     Vpn evicted = _tlb.insert(vpn).value_or(kNoPage);
     for (MechanismBackEnd &back : backs)
-        back.onMiss(vpn, ref.pc, evicted, _tlb);
+        back.onMiss(ref, vpn, evicted, _tlb);
 }
 
 void
@@ -95,18 +96,23 @@ SimFrontEnd::processBlock(const MemRef *refs, std::size_t n,
             continue;
         _tlb.repeatLastHit(vpn, end - i);
         _counters.refs += end - i;
+        _lastIcount = refs[end - 1].icount;
         i = end;
     }
 }
 
 MechanismBackEnd::MechanismBackEnd(const SimConfig &config,
                                    const MechanismSpec &spec,
-                                   PageTable &pt)
+                                   PageTable &pt,
+                                   const TimingConfig *timing)
     : _buffer(config.pbEntries),
       _prefetcher(spec.build(pt)),
       _trainOnHits(config.trainOnAllRefs && _prefetcher &&
                    _prefetcher->name() != "RP")
 {
+    if (timing)
+        _cycles = std::make_unique<CycleModel>(
+            *timing, PrefetchChannel(timing->memOpCost), TimingResult{});
 }
 
 void
@@ -128,7 +134,8 @@ MechanismBackEnd::onHit(Vpn vpn, Addr pc, const Tlb &tlb)
 }
 
 void
-MechanismBackEnd::onMiss(Vpn vpn, Addr pc, Vpn evicted, const Tlb &tlb)
+MechanismBackEnd::onMiss(const MemRef &ref, Vpn vpn, Vpn evicted,
+                         const Tlb &tlb)
 {
     // The buffer is probed alongside the TLB; the front end's fill has
     // already happened, which the buffer never consults.
@@ -138,17 +145,59 @@ MechanismBackEnd::onMiss(Vpn vpn, Addr pc, Vpn evicted, const Tlb &tlb)
         ++_counters.pbHits;
     else
         ++_counters.demandFetches;
+    if (_cycles) [[unlikely]] {
+        timedMiss(ref, vpn, pb_hit, ready_at, evicted, tlb);
+        return;
+    }
 
     if (!_prefetcher)
         return;
     _decision.clear();
-    _prefetcher->onMiss(TlbMiss{vpn, pc, pb_hit, evicted}, _decision);
+    _prefetcher->onMiss(TlbMiss{vpn, ref.pc, pb_hit, evicted}, _decision);
     _counters.stateOps += _decision.stateOps;
     queuePrefetches(vpn, tlb);
 }
 
 void
-MechanismBackEnd::queuePrefetches(Vpn vpn, const Tlb &tlb)
+MechanismBackEnd::timedMiss(const MemRef &ref, Vpn vpn, bool pb_hit,
+                            Tick ready_at, Vpn evicted, const Tlb &tlb)
+{
+    CycleModel &cycles = *_cycles;
+    TimingResult &timed = cycles.counters;
+    // Current time: compute progress plus every stall so far.
+    Tick now = cycles.computeCycles(ref.icount) + timed.stallCycles;
+    if (pb_hit) {
+        if (ready_at > now) {
+            // Prefetch still in flight: stall until it lands.
+            timed.stallCycles += ready_at - now;
+            ++timed.inFlightHits;
+        }
+    } else {
+        // The demand fetch is delayed by in-flight prefetch traffic.
+        Tick start = std::max(now, cycles.channel.busyUntil());
+        timed.stallCycles += start + cycles.config.missPenalty - now;
+    }
+
+    if (!_prefetcher)
+        return;
+    // The RP benefit-of-the-doubt rule keys off whether earlier
+    // prefetch traffic is still outstanding when this miss arrives.
+    bool busy_at_miss = cycles.channel.busyAt(now);
+    _decision.clear();
+    _prefetcher->onMiss(TlbMiss{vpn, ref.pc, pb_hit, evicted}, _decision);
+    _counters.stateOps += _decision.stateOps;
+    if (_decision.stateOps > 0)
+        cycles.channel.issue(now, _decision.stateOps);
+    if (busy_at_miss && _prefetcher->dropPrefetchesWhenBusy()) {
+        timed.prefetchesSkippedBusy += _decision.targets.size();
+        return;
+    }
+    queuePrefetches(vpn, tlb, &cycles.channel, now);
+}
+
+void
+MechanismBackEnd::queuePrefetches(Vpn vpn, const Tlb &tlb,
+                                  PrefetchChannel *channel, Tick now)
 {
     for (Vpn target : _decision.targets) {
         if (target == vpn || tlb.contains(target) ||
@@ -156,7 +205,7 @@ MechanismBackEnd::queuePrefetches(Vpn vpn, const Tlb &tlb)
             ++_counters.prefetchesSuppressed;
             continue;
         }
-        _buffer.insert(target, 0);
+        _buffer.insert(target, channel ? channel->issue(now, 1).done : 0);
         ++_counters.prefetchesIssued;
     }
 }
@@ -184,13 +233,25 @@ FunctionalSimulator::FunctionalSimulator(const SimConfig &config,
 }
 
 FunctionalSimulator::FunctionalSimulator(
-    const SimConfig &config, const std::vector<MechanismSpec> &specs)
+    const SimConfig &config, const std::vector<MechanismSpec> &specs,
+    std::optional<TimingConfig> timing)
     : _front(config), _tables(specs.size()), _results(specs.size())
 {
+    // The cycle model neither flushes nor trains on hits; running such
+    // a cell would answer (and cache) the unflushed, miss-trained one.
+    if (timing && config.contextSwitchInterval != 0)
+        throw std::invalid_argument(
+            "timed cells do not model context switches: "
+            "context_switch_interval must be 0");
+    if (timing && config.trainOnAllRefs)
+        throw std::invalid_argument(
+            "timed cells train on TLB misses only: "
+            "train_on_all_refs must be false");
     _backs.reserve(specs.size());
     _labels.reserve(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        _backs.emplace_back(config, specs[i], _tables[i]);
+        _backs.emplace_back(config, specs[i], _tables[i],
+                            timing ? &*timing : nullptr);
         _labels.push_back(specs[i].label());
     }
 }
@@ -200,6 +261,19 @@ FunctionalSimulator::result(std::size_t i)
 {
     _results[i] = cellResult(_front, _backs[i]);
     return _results[i];
+}
+
+TimingResult
+FunctionalSimulator::timing(std::size_t i)
+{
+    const CycleModel *cycles = _backs[i].cycles();
+    tlbpf_assert(cycles != nullptr, "timing() of an untimed simulator");
+    TimingResult r = cycles->counters;
+    r.functional = result(i);
+    r.computeCycles = cycles->computeCycles(_front.lastIcount());
+    r.cycles = r.computeCycles + r.stallCycles;
+    r.memoryOps = cycles->channel.totalOps();
+    return r;
 }
 
 namespace
@@ -245,7 +319,8 @@ bool
 FunctionalSimulator::checkpointable(std::size_t i) const
 {
     const Prefetcher *prefetcher = _backs[i].prefetcher();
-    return !prefetcher || prefetcher->checkpointable();
+    return !_backs[i].cycles() &&
+           (!prefetcher || prefetcher->checkpointable());
 }
 
 SimState
@@ -253,8 +328,10 @@ FunctionalSimulator::snapshot(std::size_t i) const
 {
     if (!checkpointable(i))
         throw std::invalid_argument(
-            "mechanism '" + _labels[i] +
-            "' does not support checkpointing; use replay warm-up");
+            _backs[i].cycles()
+                ? "timed cells have no checkpoint"
+                : "mechanism '" + _labels[i] +
+                      "' does not support checkpointing; use replay warm-up");
     const SimConfig &config = _front.config();
     const MechanismBackEnd &back = _backs[i];
     const Prefetcher *prefetcher = back.prefetcher();
@@ -297,6 +374,8 @@ FunctionalSimulator::restore(const SimState &state)
         throw std::invalid_argument(
             "restore() needs a one-mechanism simulator, this one runs " +
             std::to_string(_backs.size()));
+    if (_backs.front().cycles())
+        throw std::invalid_argument("restore() needs an untimed simulator");
     SnapshotReader in(state.bytes);
     if (in.u32() != kSnapshotMagic)
         SnapshotReader::fail("bad magic (not a simulator checkpoint)");
@@ -361,6 +440,15 @@ simulate(const SimConfig &config, const MechanismSpec &spec,
 {
     FunctionalSimulator sim(config, spec);
     return simulateWindow(sim, stream, UINT64_MAX).front();
+}
+
+TimingResult
+simulateTimed(const SimConfig &config, const TimingConfig &timing,
+              const MechanismSpec &spec, RefStream &stream)
+{
+    FunctionalSimulator sim(config, {spec}, timing);
+    simulateWindow(sim, stream, UINT64_MAX);
+    return sim.timing();
 }
 
 std::vector<SimResult>

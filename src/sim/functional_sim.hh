@@ -1,8 +1,9 @@
 /**
  * @file
- * Functional TLB-prefetching simulator — the sim-cache analogue the
- * paper uses for its prediction-accuracy results (Figures 7-9,
- * Table 2).
+ * The TLB-prefetching simulator: the sim-cache analogue the paper uses
+ * for its prediction-accuracy results (Figures 7-9, Table 2), and the
+ * cycle model behind its Table 3 (normalised execution cycles, RP vs
+ * DP) as an optional part of the same simulator.
  *
  * Per-reference flow (paper Section 2):
  *   1. probe the TLB (and, conceptually in parallel, the prefetch
@@ -21,18 +22,40 @@
  * is one front end driving one back end per mechanism, so a
  * single-pass sweep or shard chain simulates the TLB once for all of
  * them.
+ *
+ * Cycle model (Section 3.2), kept by a timed back end:
+ *  - the CPU retires instructions at a base CPI; time advances with the
+ *    reference stream's instruction counts plus accumulated stalls;
+ *  - a TLB miss that hits the prefetch buffer stalls only until the
+ *    in-flight prefetch completes (zero if it already has);
+ *  - a full miss pays a constant 100-cycle penalty, and its demand
+ *    fetch is delayed further if previously issued prefetch traffic is
+ *    still in flight;
+ *  - every prefetch memory operation (RP's pointer manipulations, and
+ *    PTE fetches for all schemes) costs 50 cycles on a serialising
+ *    channel that contends only with other prefetch traffic — the
+ *    paper's deliberately RP-favouring bias;
+ *  - RP's benefit of the doubt: if earlier prefetch traffic is still in
+ *    flight at miss time, RP performs only its (up to) 4 pointer
+ *    updates and skips the 2 neighbour fetches.
+ * Prefetches still fill only the buffer and the channel moves only
+ * time, so the cycle model never changes which references hit the TLB
+ * and one front end drives timed back ends too.
  */
 
 #ifndef TLBPF_SIM_FUNCTIONAL_SIM_HH
 #define TLBPF_SIM_FUNCTIONAL_SIM_HH
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "mem/page_table.hh"
+#include "mem/prefetch_channel.hh"
 #include "prefetch/mech_spec.hh"
 #include "prefetch/prefetcher.hh"
 #include "tlb/prefetch_buffer.hh"
@@ -43,7 +66,7 @@
 namespace tlbpf
 {
 
-/** Geometry shared by the functional and timing simulators. */
+/** Simulator geometry and the per-reference ablation switches. */
 struct SimConfig
 {
     TlbConfig tlb{128, 0};        ///< paper default: 128-entry FA
@@ -128,6 +151,31 @@ struct SimResult
     }
 };
 
+/** Cycle-model parameters (paper defaults). */
+struct TimingConfig
+{
+    double baseCpi = 1.0;     ///< cycles per instruction, no TLB stalls
+    Tick missPenalty = 100;   ///< constant TLB miss penalty
+    Tick memOpCost = 50;      ///< per prefetch/state memory operation
+
+    bool operator==(const TimingConfig &other) const = default;
+};
+
+/** Cycle-model counters of one mechanism. */
+struct TimingResult
+{
+    SimResult functional;       ///< the same counters as untimed
+    Tick cycles = 0;            ///< total execution cycles
+    Tick stallCycles = 0;       ///< cycles lost to TLB handling
+    Tick computeCycles = 0;     ///< icount * baseCpi
+    std::uint64_t memoryOps = 0;///< prefetch-channel operations
+    std::uint64_t prefetchesSkippedBusy = 0; ///< RP benefit-of-doubt
+    std::uint64_t inFlightHits = 0; ///< buffer hits that still stalled
+
+    /** Counter-for-counter equality (bit-identity assertions). */
+    bool operator==(const TimingResult &other) const = default;
+};
+
 /**
  * A serialized simulator-state checkpoint: everything process() can
  * observe — counters, TLB, prefetch buffer, page table and mechanism
@@ -202,6 +250,12 @@ class SimFrontEnd
     const SimResult &counters() const { return _counters; }
     SimResult &counters() { return _counters; }
 
+    /**
+     * Instruction count of the last reference fed, a same-page run's
+     * skipped ones included: the cycle model's compute time.
+     */
+    std::uint64_t lastIcount() const { return _lastIcount; }
+
   private:
     Vpn pageOf(const MemRef &ref) const;
 
@@ -211,20 +265,47 @@ class SimFrontEnd
     PageTable _pt;
     Tlb _tlb;
     SimResult _counters;
+    std::uint64_t _lastIcount = 0;
+};
+
+/**
+ * A timed back end's share of the cycle model: its parameters, the
+ * serialising channel its prefetch and RP-state traffic queues on, and
+ * the counters only time moves (stallCycles, inFlightHits and
+ * prefetchesSkippedBusy; FunctionalSimulator::timing() derives the
+ * rest, memoryOps as channel.totalOps()).
+ */
+struct CycleModel
+{
+    /** Cycles to retire @p icount instructions at the base CPI. */
+    Tick
+    computeCycles(std::uint64_t icount) const
+    {
+        return static_cast<Tick>(std::llround(
+            static_cast<double>(icount) * config.baseCpi));
+    }
+
+    TimingConfig config;
+    PrefetchChannel channel;
+    TimingResult counters;
 };
 
 /**
  * The per-mechanism half of the functional simulator: the prefetch
  * buffer, the prefetcher, and the counters only they move (pbHits,
  * demandFetches, prefetchesIssued/Suppressed and stateOps;
- * pbEvictedUnused is the buffer's).
+ * pbEvictedUnused is the buffer's).  A timed back end also keeps the
+ * mechanism's cycle model.
  */
 class MechanismBackEnd
 {
   public:
-    /** Build @p spec's prefetcher over @p pt, which must outlive it. */
+    /**
+     * Build @p spec's prefetcher over @p pt, which must outlive it;
+     * timed under @p timing unless it is null.
+     */
     MechanismBackEnd(const SimConfig &config, const MechanismSpec &spec,
-                     PageTable &pt);
+                     PageTable &pt, const TimingConfig *timing);
 
     /** Context switch: empty the buffer, reset the prediction state. */
     void flush();
@@ -233,11 +314,11 @@ class MechanismBackEnd
     void onHit(Vpn vpn, Addr pc, const Tlb &tlb);
 
     /**
-     * A TLB miss on @p vpn after the front end's fill, which evicted
-     * @p evicted (kNoPage if the set had room): probe the buffer, train
-     * the mechanism and queue its prefetches.
+     * A TLB miss of @p ref on @p vpn after the front end's fill, which
+     * evicted @p evicted (kNoPage if the set had room): probe the
+     * buffer, train the mechanism and queue its prefetches.
      */
-    void onMiss(Vpn vpn, Addr pc, Vpn evicted, const Tlb &tlb);
+    void onMiss(const MemRef &ref, Vpn vpn, Vpn evicted, const Tlb &tlb);
 
     const PrefetchBuffer &buffer() const { return _buffer; }
     PrefetchBuffer &buffer() { return _buffer; }
@@ -248,12 +329,25 @@ class MechanismBackEnd
     const SimResult &counters() const { return _counters; }
     SimResult &counters() { return _counters; }
 
+    /** The cycle model, or null for an untimed back end. */
+    const CycleModel *cycles() const { return _cycles.get(); }
+
   private:
+    /**
+     * onMiss() after the buffer probe on a timed back end: stall, then
+     * put the mechanism's traffic on the channel.
+     */
+    void timedMiss(const MemRef &ref, Vpn vpn, bool pb_hit, Tick ready_at,
+                   Vpn evicted, const Tlb &tlb);
+
     /**
      * Queue the decision's targets into the buffer, suppressing the
      * missed page itself and pages already in the TLB or the buffer.
+     * On a timed back end each prefetch goes on @p channel at @p now
+     * and lands in the buffer when it completes.
      */
-    void queuePrefetches(Vpn vpn, const Tlb &tlb);
+    void queuePrefetches(Vpn vpn, const Tlb &tlb,
+                         PrefetchChannel *channel = nullptr, Tick now = 0);
 
     PrefetchBuffer _buffer;
     std::unique_ptr<Prefetcher> _prefetcher;
@@ -264,6 +358,8 @@ class MechanismBackEnd
      * A hybrid with an RP child still trains on hits.
      */
     bool _trainOnHits;
+    /** Null unless timed: one well-predicted test per miss. */
+    std::unique_ptr<CycleModel> _cycles;
     SimResult _counters;
 };
 
@@ -285,14 +381,25 @@ class MechanismBackEnd
  * Only RP writes page-table entries, and its stack creates every entry
  * it touches, so a private table per back end holds exactly the link
  * words RP would have written into a shared one.
+ *
+ * Under a TimingConfig every back end is timed: stalls, the channel
+ * and the clock belong to one mechanism, so they live in its back end,
+ * and the front end's last instruction count gives the compute time.
  */
 class FunctionalSimulator
 {
   public:
     FunctionalSimulator(const SimConfig &config,
                         const MechanismSpec &spec);
+    /**
+     * One back end per spec, each timed under @p timing if given.
+     * Throws std::invalid_argument for a timed simulator under a
+     * @p config the cycle model does not simulate: a nonzero
+     * contextSwitchInterval or trainOnAllRefs.
+     */
     FunctionalSimulator(const SimConfig &config,
-                        const std::vector<MechanismSpec> &specs);
+                        const std::vector<MechanismSpec> &specs,
+                        std::optional<TimingConfig> timing = {});
 
     /** Feed one reference to every mechanism. */
     void process(const MemRef &ref) { _front.process(ref, _backs); }
@@ -314,11 +421,16 @@ class FunctionalSimulator
     /** Counters of mechanism @p i so far (footprint refreshed). */
     const SimResult &result(std::size_t i = 0);
 
+    /** Cycle-model counters of mechanism @p i so far (timed only). */
+    TimingResult timing(std::size_t i = 0);
+
     /**
      * True if mechanism @p i's whole simulator state can round-trip
-     * through snapshot()/restore(): always, unless the mechanism is an
-     * open-registry entry that has not opted into checkpointing
-     * (Prefetcher::checkpointable()).
+     * through snapshot()/restore(): always for an untimed simulator,
+     * unless the mechanism is an open-registry entry that has not
+     * opted into checkpointing (Prefetcher::checkpointable()).  A
+     * checkpoint has no cycle-model section, so a timed simulator is
+     * never checkpointable.
      */
     bool checkpointable(std::size_t i = 0) const;
 
@@ -379,6 +491,11 @@ constexpr std::size_t kSimBatchRefs = 4096;
 /** Run @p stream to exhaustion under @p spec and return the counters. */
 SimResult simulate(const SimConfig &config, const MechanismSpec &spec,
                    RefStream &stream);
+
+/** simulate() under the cycle model; throws as a timed simulator does. */
+TimingResult simulateTimed(const SimConfig &config,
+                           const TimingConfig &timing,
+                           const MechanismSpec &spec, RefStream &stream);
 
 /**
  * Run @p stream to exhaustion once under every mechanism in @p specs:

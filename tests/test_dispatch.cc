@@ -286,6 +286,19 @@ TEST(DispatchProtocol, RejectsMalformedVerbs)
             std::invalid_argument)
             << "input: " << bad;
 
+    // A protocol past 32 bits is refused by name, not read as its low
+    // word (2^32 + 2 would register as protocol 2).
+    try {
+        WorkerHello::decode(JsonValue::parse(
+            "{\"type\":\"worker_hello\",\"protocol\":4294967298,"
+            "\"threads\":1}"));
+        ADD_FAILURE() << "protocol 4294967298 registered";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("protocol must fit"),
+                  std::string::npos)
+            << e.what();
+    }
+
     // Both versions the server speaks register.
     for (std::uint32_t version : {1u, 2u})
         EXPECT_EQ(WorkerHello::decode(
@@ -737,6 +750,54 @@ TEST(Dispatcher, HeldLeaseWakesOnBatchStartAndCloseEndsEveryHold)
     dispatcher.unregisterWorker(worker);
 }
 
+/**
+ * A timed Pass never leaves the server (TimingConfig does not cross
+ * the wire): with a worker already holding a lease request when the
+ * batch starts, the pass runs locally and the hold is granted nothing.
+ */
+TEST(Dispatcher, TimedPassIsNeverLeased)
+{
+    SweepEngine engine(1);
+    DispatcherOptions options;
+    options.leaseTimeoutMs = 60000; // holds last 15 s
+    Dispatcher dispatcher(engine, options);
+    std::uint64_t worker = dispatcher.registerWorker(1);
+
+    std::vector<SweepJob> jobs;
+    for (const char *mech : {"none", "RP", "DP,256,D"})
+        jobs.push_back(SweepJob::timed(WorkloadSpec::app("ammp"),
+                                       MechanismSpec::parse(mech), kRefs));
+    Plan plan =
+        makePlan(jobs, 1, ShardWarmup::Checkpoint, PassMode::SinglePass);
+    ASSERT_EQ(plan.tasks().size(), 1u);
+    ASSERT_EQ(plan.tasks()[0].kind, TaskKind::Pass);
+
+    bool granted = false;
+    std::thread holder([&] {
+        LeaseGrant grant;
+        granted = dispatcher.lease(worker, grant, true);
+        if (granted) // hand it back rather than hang the batch
+            dispatcher.failLease(grant.lease);
+    });
+    // Let the request settle into its hold before the batch starts.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    std::vector<SweepResult> results = dispatcher.runBatch(plan, {});
+    EXPECT_EQ(dispatcher.lastBatchStats().remoteCells, 0u);
+    dispatcher.close(); // ends the hold
+    holder.join();
+    EXPECT_FALSE(granted);
+
+    std::vector<SweepResult> direct = SweepEngine(1).run(jobs);
+    ASSERT_EQ(results.size(), direct.size());
+    for (std::size_t i = 0; i < direct.size(); ++i) {
+        EXPECT_EQ(results[i].mode, JobMode::Timed) << "cell " << i;
+        EXPECT_EQ(results[i].functional, direct[i].functional)
+            << "cell " << i;
+        EXPECT_TRUE(results[i].timed == direct[i].timed) << "cell " << i;
+    }
+    dispatcher.unregisterWorker(worker);
+}
+
 TEST(Dispatcher, ChainIsGrantedAloneAndMergesBitIdentically)
 {
     SweepEngine engine(1);
@@ -977,8 +1038,9 @@ registerNextPage()
 /**
  * Every workload kind and task shape in one batch: same-stream app,
  * mix and trace runs (Pass tasks), the composite hybrid, the
- * uncheckpointable open-registry mechanism, a timed cell (never
- * leased) and explicit `spec#k/N` cells (never fanned out again).
+ * uncheckpointable open-registry mechanism, three same-stream timed
+ * cells (one timed Pass under single-pass lowering, never leased) and
+ * explicit `spec#k/N` cells (never fanned out again).
  */
 std::vector<SweepJob>
 planMatrixBatch()
@@ -995,8 +1057,9 @@ planMatrixBatch()
         add("mcf", mech);
     add("mix:mcf+gcc@1k", "dp");
     add("mix:mcf+gcc@1k", "nextpage");
-    jobs.push_back(SweepJob::timed(WorkloadSpec::app("ammp"),
-                                   MechanismSpec::parse("dp"), kRefs));
+    for (const char *mech : {"none", "dp", "rp"})
+        jobs.push_back(SweepJob::timed(WorkloadSpec::app("ammp"),
+                                       MechanismSpec::parse(mech), kRefs));
     std::string trace =
         "trace:" + std::string(TLBPF_TEST_DATA_DIR) + "/sample.tpf";
     add(trace, "rp");
@@ -1015,15 +1078,19 @@ planMatrixCsv(const std::vector<SweepResult> &results)
     CsvSink csv(os);
     csv.header({"workload", "mechanism", "refs", "misses", "pb_hits",
                 "demand", "issued", "suppressed", "state_ops",
-                "evicted_unused", "footprint", "switches", "cycles"});
+                "evicted_unused", "footprint", "switches", "cycles",
+                "stall_cycles", "memory_ops", "skipped_busy",
+                "in_flight_hits"});
     for (const SweepResult &r : results) {
         const SimResult &c = r.functional;
+        const TimingResult &t = r.timed;
         std::vector<std::string> row = {r.workload, r.mechanism};
         for (std::uint64_t v :
              {c.refs, c.misses, c.pbHits, c.demandFetches,
               c.prefetchesIssued, c.prefetchesSuppressed, c.stateOps,
               c.pbEvictedUnused, c.footprintPages, c.contextSwitches,
-              r.timed.cycles})
+              t.cycles, t.stallCycles, t.memoryOps,
+              t.prefetchesSkippedBusy, t.inFlightHits})
             row.push_back(std::to_string(v));
         csv.row(row);
     }

@@ -191,24 +191,6 @@ TEST(PrefetchChannel, BusyAt)
     EXPECT_FALSE(ch.busyAt(50));
 }
 
-TEST(PrefetchChannel, BusyCyclesAccumulate)
-{
-    PrefetchChannel ch(50);
-    ch.issue(0, 1);
-    ch.issue(100, 1);
-    EXPECT_EQ(ch.busyCycles(), 100u);
-}
-
-TEST(PrefetchChannel, ResetClearsState)
-{
-    PrefetchChannel ch(50);
-    ch.issue(0, 3);
-    ch.reset();
-    EXPECT_EQ(ch.totalOps(), 0u);
-    EXPECT_EQ(ch.busyUntil(), 0u);
-    EXPECT_FALSE(ch.busyAt(0));
-}
-
 TEST(PrefetchChannel, ZeroOpsIsFree)
 {
     PrefetchChannel ch(50);

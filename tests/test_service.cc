@@ -24,6 +24,7 @@
 #include <sys/socket.h>
 #include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "run/sweep_engine.hh"
@@ -298,6 +299,33 @@ TEST(Protocol, SweepRequestRoundTripsAndValidates)
            "\"mechanisms\":[\"rp\"],\"refs\":1,\"shards\":0}");
     reject("{\"type\":\"sweep\",\"workloads\":[\"app:gcc\"],"
            "\"mechanisms\":[\"rp\"],\"refs\":1,\"shards\":5000}");
+}
+
+/**
+ * A geometry field wider than its 32-bit SimConfig member is rejected
+ * with an error naming the field, never truncated into a geometry the
+ * client did not ask for (2^32 + 128 TLB entries would read as 128).
+ */
+TEST(Protocol, ConfigFieldsPastThirtyTwoBitsAreRejected)
+{
+    const std::pair<const char *, std::uint64_t> fields[] = {
+        {"tlb_entries", 128}, {"tlb_assoc", 4}, {"pb_entries", 16}};
+    for (const auto &[field, fits] : fields) {
+        auto config = [&](std::uint64_t value) {
+            return JsonValue::parse("{\"" + std::string(field) +
+                                    "\":" + std::to_string(value) + "}");
+        };
+        EXPECT_NO_THROW(decodeConfig(config(fits))) << field;
+        std::uint64_t wide = (std::uint64_t{1} << 32) + fits;
+        try {
+            decodeConfig(config(wide));
+            ADD_FAILURE() << field << " " << wide << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(field),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Protocol, CellReplyRoundTripsExactCounters)

@@ -375,7 +375,7 @@ taskShapes(const Plan &plan)
  * The lowering rules and the LPT weights every execution path
  * schedules by: a Cell weighs costWeight(), a single-pass group
  * costWeight() x width, a checkpoint chain its whole budget per cell.
- * Only adjacent same-stream functional cells share a Pass; a fan-out
+ * Only adjacent same-stream cells of one mode share a Pass; a fan-out
  * is a Chain under checkpoint warm-up — one per stream in single-pass
  * mode, one per cell otherwise — and independent shard Cells under
  * replay; timed and explicit `spec#k/N` cells pass through.

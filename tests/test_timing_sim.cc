@@ -1,9 +1,11 @@
 /**
  * @file
- * Tests for the timing simulator's cycle accounting: the constant miss
- * penalty, in-flight prefetch stalls, channel contention, and RP's
- * benefit-of-the-doubt rule; and its refusal of the ablation switches
- * the cycle model does not simulate.
+ * Tests for the cycle model's accounting: the constant miss penalty,
+ * in-flight prefetch stalls, channel contention, and RP's
+ * benefit-of-the-doubt rule; its refusal of the ablation switches the
+ * cycle model does not simulate; and the timed back end against the
+ * stand-alone stepping simulator of timing_oracle.hh on every path a
+ * timed cell runs.
  */
 
 #include <gtest/gtest.h>
@@ -11,9 +13,10 @@
 #include <stdexcept>
 #include <string>
 
+#include "run/plan.hh"
 #include "run/sweep_engine.hh"
 #include "sim/experiment.hh"
-#include "sim/timing_sim.hh"
+#include "timing_oracle.hh"
 #include "trace/ref_stream.hh"
 
 namespace tlbpf
@@ -220,8 +223,9 @@ void
 expectTimedCellRejected(const SimConfig &config, const char *field)
 {
     try {
-        TimingSimulator sim(config, TimingConfig{}, spec("DP,256,D"));
-        ADD_FAILURE() << "the timing simulator accepted " << field;
+        FunctionalSimulator sim(config, {spec("DP,256,D")},
+                                TimingConfig{});
+        ADD_FAILURE() << "the timed simulator accepted " << field;
     } catch (const std::invalid_argument &e) {
         EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
             << e.what();
@@ -243,6 +247,97 @@ TEST(TimingSim, RejectsTrainOnAllRefs)
     SimConfig config;
     config.trainOnAllRefs = true;
     expectTimedCellRejected(config, "train_on_all_refs");
+}
+
+/**
+ * A checkpoint has no cycle-model section, so a timed simulator is
+ * neither snapshotted nor restored: either would drop its clock.
+ */
+TEST(TimingSim, TimedSimulatorIsNeverCheckpointed)
+{
+    FunctionalSimulator timed(SimConfig{}, {spec("DP,256,D")},
+                              TimingConfig{});
+    FunctionalSimulator untimed(SimConfig{}, spec("DP,256,D"));
+    EXPECT_TRUE(untimed.checkpointable());
+    EXPECT_FALSE(timed.checkpointable());
+    EXPECT_THROW(timed.snapshot(), std::invalid_argument);
+    EXPECT_THROW(timed.restore(untimed.snapshot()), std::invalid_argument);
+}
+
+/** Every counter of @p r, for a readable mismatch. */
+std::string
+fields(const TimingResult &r)
+{
+    const SimResult &f = r.functional;
+    std::string out;
+    for (std::uint64_t v :
+         {f.refs, f.misses, f.pbHits, f.demandFetches, f.prefetchesIssued,
+          f.prefetchesSuppressed, f.stateOps, f.pbEvictedUnused,
+          f.footprintPages, f.contextSwitches, r.cycles, r.stallCycles,
+          r.computeCycles, r.memoryOps, r.prefetchesSkippedBusy,
+          r.inFlightHits})
+        out += std::to_string(v) + " ";
+    return out;
+}
+
+/**
+ * The timed back end against the stand-alone stepping simulator, field
+ * for field, over Table 3's apps, a trace and a mix, eight mechanisms,
+ * three geometries and two cycle models: through the engine's cell
+ * runner, and through a 4-thread single-pass run, which lowers each
+ * stream's eight timed cells into one Pass sharing one TLB.
+ */
+TEST(TimingSim, BackEndMatchesTheOracle)
+{
+    constexpr std::uint64_t kRefs = 20000;
+    std::vector<WorkloadSpec> workloads;
+    for (const std::string &app : table3Apps())
+        workloads.push_back(WorkloadSpec::app(app));
+    workloads.push_back(WorkloadSpec::trace(
+        std::string(TLBPF_TEST_DATA_DIR) + "/sample.tpf"));
+    workloads.push_back(WorkloadSpec::parse("mix:mcf+gcc@5k"));
+    std::vector<MechanismSpec> mechs;
+    for (const char *text : {"none", "RP", "DP,256,D", "ASP,256,D",
+                             "MP,256,D", "sp", "ASQ", "hybrid(rp+dp)"})
+        mechs.push_back(spec(text));
+    std::vector<SimConfig> configs(3);
+    configs[1].tlb = TlbConfig{64, 4};
+    configs[1].pbEntries = 4;
+    configs[2].pageBytes = 8192;
+    TimingConfig slow;
+    slow.baseCpi = 1.7;
+    slow.missPenalty = 37;
+    slow.memOpCost = 300;
+
+    std::vector<SweepJob> jobs;
+    for (const WorkloadSpec &workload : workloads)
+        for (const SimConfig &config : configs)
+            for (const TimingConfig &timing : {TimingConfig{}, slow})
+                for (const MechanismSpec &mech : mechs)
+                    jobs.push_back(SweepJob::timed(workload, mech, kRefs,
+                                                   config, timing));
+    Plan plan =
+        makePlan(jobs, 1, ShardWarmup::Checkpoint, PassMode::SinglePass);
+    ASSERT_EQ(plan.tasks().size(), jobs.size() / mechs.size());
+    for (const Task &task : plan.tasks())
+        EXPECT_EQ(task.kind, TaskKind::Pass);
+    std::vector<SweepResult> passes = SweepEngine(4).run(plan);
+    ASSERT_EQ(passes.size(), jobs.size());
+
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &job = jobs[i];
+        auto stream = job.workload.build(job.refs);
+        TimingResult want =
+            oracleTimed(job.config, job.timing, job.spec, *stream);
+        SweepResult cell = runSweepJob(job);
+        for (const SweepResult *got : {&cell, &passes[i]}) {
+            EXPECT_TRUE(got->timed == want)
+                << cellKey(job) << (got == &cell ? " (cell)" : " (pass)")
+                << "\n  oracle " << fields(want) << "\n  got    "
+                << fields(got->timed);
+            EXPECT_EQ(got->functional, want.functional) << cellKey(job);
+        }
+    }
 }
 
 } // namespace
