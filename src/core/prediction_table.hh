@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "util/bits.hh"
@@ -77,6 +78,7 @@ class PredictionTable
         }
         if (!isPowerOfTwo(config.numSets()))
             tlbpf_fatal("prediction table sets must be a power of two");
+        _setMask = config.numSets() - 1;
         _rows.resize(config.rows);
         _index = WideSetIndex(config.numSets(), _ways);
     }
@@ -164,10 +166,13 @@ class PredictionTable
     }
 
     /**
-     * Serialize the table (LRU clock, hit/miss/eviction counters and
-     * every valid row) into @p out.  @p write_payload emits one row's
-     * Payload; rows are visited in physical order, so the byte string
-     * is canonical for a given table state.
+     * Serialize the table into @p out: the LRU clock, the hit, miss and
+     * eviction counters and the row count, then a varint count of the
+     * valid rows and, per valid row in slot order, its slot as a
+     * varint delta from the row before (the first from zero), its key
+     * and its age (clock - lastUse) as varints, and its Payload through
+     * @p write_payload.  The byte string is canonical for a given
+     * table state.
      */
     template <typename WritePayload>
     void
@@ -178,12 +183,16 @@ class PredictionTable
         out.u64(_misses);
         out.u64(_evictions);
         out.u64(_rows.size());
-        for (const Row &row : _rows) {
-            out.boolean(row.valid);
+        out.varint(occupancy());
+        std::uint32_t prev = 0;
+        for (std::uint32_t slot = 0; slot < _rows.size(); ++slot) {
+            const Row &row = _rows[slot];
             if (!row.valid)
                 continue;
-            out.u64(row.key);
-            out.u64(row.lastUse);
+            out.varint(slot - prev);
+            prev = slot;
+            out.varint(row.key);
+            out.varint(_clock - row.lastUse);
             write_payload(out, row.payload);
         }
     }
@@ -191,10 +200,10 @@ class PredictionTable
     /**
      * Restore state written by snapshotState() into a table of the
      * same geometry; throws std::invalid_argument (via
-     * SnapshotReader::fail) if the row count differs or the rows are
-     * not a state the table can reach: a key outside its set, a use
-     * clock ahead of the table's, or, in an indexed wide set, a key
-     * held twice.
+     * SnapshotReader::fail) if the row count differs, the rows repeat
+     * or come out of slot order, or they are not a state the table can
+     * reach: a key outside its set, a use clock ahead of the table's,
+     * or, in an indexed wide set, a key held twice.
      */
     template <typename ReadPayload>
     void
@@ -209,28 +218,40 @@ class PredictionTable
             SnapshotReader::fail(
                 "prediction table has " + std::to_string(rows) +
                 " rows, expected " + std::to_string(_rows.size()));
+        std::uint64_t valid = in.varint();
+        if (valid > rows)
+            SnapshotReader::fail("prediction table lists " +
+                                 std::to_string(valid) + " valid rows of " +
+                                 std::to_string(rows));
+        for (Row &row : _rows)
+            row = Row{};
         std::vector<WideSetIndex::Resident> resident;
-        for (std::uint32_t slot = 0; slot < _rows.size(); ++slot) {
+        std::uint64_t slot = 0;
+        for (std::uint64_t i = 0; i < valid; ++i) {
+            std::uint64_t delta = in.varint();
+            if (delta == 0 && i > 0)
+                SnapshotReader::fail("prediction table rows repeat or are "
+                                     "out of order in checkpoint");
+            if (delta >= rows - slot)
+                SnapshotReader::fail("prediction table row past the "
+                                     "table's end");
+            slot += delta;
             Row &row = _rows[slot];
-            row.valid = in.boolean();
-            if (!row.valid) {
-                row.key = 0;
-                row.lastUse = 0;
-                row.payload = Payload{};
-                continue;
-            }
-            row.key = in.u64();
-            row.lastUse = in.u64();
+            row.valid = true;
+            row.key = in.varint();
+            std::uint64_t age = in.varint();
+            if (age > _clock)
+                SnapshotReader::fail("prediction table checkpoint row "
+                                     "was used after the table's clock");
+            row.lastUse = _clock - age;
             if (setBase(row.key) != slot - slot % _ways)
                 SnapshotReader::fail("prediction table checkpoint places "
                                      "key " + std::to_string(row.key) +
                                      " in the wrong set");
-            if (row.lastUse > _clock)
-                SnapshotReader::fail("prediction table checkpoint row "
-                                     "was used after the table's clock");
             read_payload(in, row.payload);
             if (_index.active())
-                resident.push_back({slot, row.key, row.lastUse});
+                resident.push_back({static_cast<std::uint32_t>(slot),
+                                    row.key, row.lastUse});
         }
         if (!_index.rebuild(std::move(resident)))
             SnapshotReader::fail(
@@ -272,8 +293,7 @@ class PredictionTable
     std::size_t
     setBase(std::uint64_t key) const
     {
-        return (key & (_config.numSets() - 1)) *
-               static_cast<std::size_t>(_ways);
+        return (key & _setMask) * static_cast<std::size_t>(_ways);
     }
 
     std::uint32_t
@@ -324,6 +344,8 @@ class PredictionTable
 
     TableConfig _config;
     std::uint32_t _ways;
+    /** numSets() - 1: the set of a key is its low bits. */
+    std::uint64_t _setMask = 0;
     std::vector<Row> _rows;
     /**
      * Lookup and victim acceleration for fully-associative tables
@@ -397,14 +419,21 @@ class SlotLru
 
     void clear() { _size = 0; }
 
-    /** Serialize capacity, occupancy and slots in LRU order. */
+    /**
+     * Serialize capacity, occupancy and slots in LRU order, all as
+     * varints (zigzag for a signed T).
+     */
     void
     snapshotState(SnapshotWriter &out) const
     {
-        out.u64(_capacity);
-        out.u64(_size);
-        for (std::size_t i = 0; i < _size; ++i)
-            out.u64(static_cast<std::uint64_t>(_slots[i]));
+        out.varint(_capacity);
+        out.varint(_size);
+        for (std::size_t i = 0; i < _size; ++i) {
+            if constexpr (std::is_signed_v<T>)
+                out.svarint(static_cast<std::int64_t>(_slots[i]));
+            else
+                out.varint(static_cast<std::uint64_t>(_slots[i]));
+        }
     }
 
     /**
@@ -417,8 +446,8 @@ class SlotLru
     void
     restoreState(SnapshotReader &in, std::size_t expected_capacity)
     {
-        std::uint64_t capacity = in.u64();
-        std::uint64_t size = in.u64();
+        std::uint64_t capacity = in.varint();
+        std::uint64_t size = in.varint();
         if (capacity != expected_capacity)
             SnapshotReader::fail(
                 "slot list capacity " + std::to_string(capacity) +
@@ -427,8 +456,14 @@ class SlotLru
             SnapshotReader::fail("slot list shape out of range");
         _capacity = static_cast<std::size_t>(capacity);
         _size = static_cast<std::size_t>(size);
-        for (std::size_t i = 0; i < MaxSlots; ++i)
-            _slots[i] = i < _size ? static_cast<T>(in.u64()) : T{};
+        for (std::size_t i = 0; i < MaxSlots; ++i) {
+            if (i >= _size)
+                _slots[i] = T{};
+            else if constexpr (std::is_signed_v<T>)
+                _slots[i] = static_cast<T>(in.svarint());
+            else
+                _slots[i] = static_cast<T>(in.varint());
+        }
     }
 
   private:

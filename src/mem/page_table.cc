@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "util/bits.hh"
 #include "util/check.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
@@ -102,31 +103,82 @@ PageTable::clear()
     _map.assign(kInitialBuckets, kEmptySlot);
 }
 
-void
-PageTable::snapshotState(SnapshotWriter &out, const PageTable &links) const
+std::size_t
+PageTable::linkedEntries() const
 {
-    TLBPF_DCHECK_MSG(links.size() <= size(), "link table holds ",
-                     links.size(), " pages, the translations only ",
-                     size());
-    std::vector<const Slot *> slots;
-    slots.reserve(_pool.size());
+    return static_cast<std::size_t>(
+        std::count_if(_pool.begin(), _pool.end(),
+                      [](const Slot &slot) { return slot.pte.linked(); }));
+}
+
+std::vector<Vpn>
+PageTable::sortedPages() const
+{
+    std::vector<Vpn> pages;
+    pages.reserve(_pool.size());
     for (const Slot &slot : _pool)
-        slots.push_back(&slot);
-    std::sort(slots.begin(), slots.end(),
-              [](const Slot *a, const Slot *b) {
-                  return a->vpn < b->vpn;
-              });
-    const PageTableEntry unlinked;
-    out.u64(slots.size());
-    for (const Slot *slot : slots) {
-        const PageTableEntry *link = links.find(slot->vpn);
-        if (!link)
-            link = &unlinked;
-        out.u64(slot->vpn);
-        out.u64(slot->pte.pfn);
-        out.u64(link->next);
-        out.u64(link->prev);
-        out.boolean(link->inStack);
+        pages.push_back(slot.vpn);
+    std::sort(pages.begin(), pages.end());
+    return pages;
+}
+
+void
+PageTable::snapshotPages(SnapshotWriter &out, const std::vector<Vpn> &pages)
+{
+    out.varint(pages.size());
+    Vpn prev = 0;
+    for (Vpn vpn : pages) {
+        out.varint(vpn - prev);
+        prev = vpn;
+    }
+}
+
+namespace
+{
+
+/**
+ * A link word of page @p vpn as a varint: 0 for kNoPage, else the
+ * zigzag code of its distance from @p vpn, never 0 since no page links
+ * to itself.
+ */
+std::uint64_t
+linkCode(Vpn link, Vpn vpn)
+{
+    return link == kNoPage
+               ? 0
+               : zigZagEncode(static_cast<std::int64_t>(link - vpn));
+}
+
+/** Inverse of linkCode(). */
+Vpn
+linkWord(std::uint64_t code, Vpn vpn)
+{
+    return code == 0 ? kNoPage
+                     : vpn + static_cast<Vpn>(zigZagDecode(code));
+}
+
+} // namespace
+
+void
+PageTable::snapshotLinks(SnapshotWriter &out,
+                         const std::vector<Vpn> &pages) const
+{
+    TLBPF_DCHECK_MSG(size() <= pages.size(), "link table holds ", size(),
+                     " pages, the translations only ", pages.size());
+    std::vector<std::pair<Vpn, const PageTableEntry *>> linked;
+    if (!_pool.empty()) {
+        for (Vpn vpn : pages)
+            if (const PageTableEntry *pte = find(vpn); pte && pte->linked())
+                linked.emplace_back(vpn, pte);
+    }
+    out.varint(linked.size());
+    Vpn prev = 0;
+    for (const auto &[vpn, pte] : linked) {
+        out.varint(vpn - prev);
+        prev = vpn;
+        out.varint(linkCode(pte->next, vpn));
+        out.varint(linkCode(pte->prev, vpn));
+        out.boolean(pte->inStack);
     }
 }
 
@@ -135,31 +187,49 @@ PageTable::restoreState(SnapshotReader &in, PageTable &links)
 {
     clear();
     links.clear();
-    std::uint64_t count = in.u64();
-    // 33 bytes per serialized PTE: a corrupt count field must fail
-    // with the clean checkpoint error, not a length_error/bad_alloc
-    // from an oversized allocation.
-    if (count > in.remaining() / 33)
+    // Every listed page takes at least one byte: a corrupt count must
+    // fail with the clean checkpoint error, not a length_error or
+    // bad_alloc from an oversized allocation.
+    std::uint64_t count = in.varint();
+    if (count > in.remaining())
         SnapshotReader::fail(
             "page table entry count " + std::to_string(count) +
             " exceeds the checkpoint's remaining bytes");
+    Vpn vpn = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        Vpn vpn = in.u64();
-        if (find(vpn))
-            SnapshotReader::fail("duplicate page table entry in "
-                                 "checkpoint");
-        lookup(vpn).pfn = in.u64();
-        PageTableEntry link;
-        link.next = in.u64();
-        link.prev = in.u64();
+        std::uint64_t delta = in.varint();
+        if (delta == 0 && i > 0)
+            SnapshotReader::fail("page table VPNs repeat or are out of "
+                                 "order in checkpoint");
+        if (delta > kNoPage - vpn)
+            SnapshotReader::fail("page table VPN overflows 64 bits");
+        vpn += delta;
+        lookup(vpn);
+    }
+
+    std::uint64_t linked = in.varint();
+    if (linked > count)
+        SnapshotReader::fail("page table lists more links than pages");
+    vpn = 0;
+    for (std::uint64_t i = 0; i < linked; ++i) {
+        std::uint64_t delta = in.varint();
+        if (delta == 0 && i > 0)
+            SnapshotReader::fail("page table links repeat or are out of "
+                                 "order in checkpoint");
+        if (delta > kNoPage - vpn)
+            SnapshotReader::fail("page table link VPN overflows 64 bits");
+        vpn += delta;
+        if (!find(vpn))
+            SnapshotReader::fail("page table links page " +
+                                 std::to_string(vpn) +
+                                 ", which it does not translate");
+        PageTableEntry &link = links.lookup(vpn);
+        link.next = linkWord(in.varint(), vpn);
+        link.prev = linkWord(in.varint(), vpn);
         link.inStack = in.boolean();
-        if (link.next != kNoPage || link.prev != kNoPage ||
-            link.inStack) {
-            PageTableEntry &into = links.lookup(vpn);
-            into.next = link.next;
-            into.prev = link.prev;
-            into.inStack = link.inStack;
-        }
+        if (!link.linked())
+            SnapshotReader::fail("page table link entry carries only "
+                                 "default words");
     }
 }
 
@@ -262,6 +332,30 @@ RecencyStack::restoreState(SnapshotReader &in)
 {
     _top = in.u64();
     _linked = static_cast<std::size_t>(in.u64());
+    // Walk the list from the head: a corrupt link must fail here, not
+    // as a panic at the next push or unlink that trusts it.
+    const std::size_t entries = _pt.linkedEntries();
+    std::size_t reached = 0;
+    Vpn before = kNoPage;
+    for (Vpn cur = _top; cur != kNoPage; ++reached) {
+        const PageTableEntry *pte = _pt.find(cur);
+        if (reached == entries || !pte || !pte->inStack)
+            SnapshotReader::fail("recency stack reaches page " +
+                                 std::to_string(cur) +
+                                 ", which is not linked in the stack");
+        if (pte->prev != before)
+            SnapshotReader::fail("recency stack page " +
+                                 std::to_string(cur) +
+                                 " does not link back to its predecessor");
+        before = cur;
+        cur = pte->next;
+    }
+    if (reached != entries || reached != _linked)
+        SnapshotReader::fail(
+            "recency stack links " + std::to_string(reached) +
+            " pages from its head, but the checkpoint holds " +
+            std::to_string(entries) + " linked entries and a count of " +
+            std::to_string(_linked));
 }
 
 void

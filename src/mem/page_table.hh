@@ -27,18 +27,25 @@ namespace tlbpf
 /** Physical frame number. */
 using Pfn = std::uint64_t;
 
+/** Sentinel meaning "no page". */
+constexpr Vpn kNoPage = UINT64_MAX;
+
 /** One page table entry: translation plus RP's stack link words. */
 struct PageTableEntry
 {
     Pfn pfn = 0;
     /** RP recency-stack links; kNoPage when unlinked. */
-    Vpn next = UINT64_MAX;
-    Vpn prev = UINT64_MAX;
+    Vpn next = kNoPage;
+    Vpn prev = kNoPage;
     bool inStack = false;
-};
 
-/** Sentinel meaning "no page". */
-constexpr Vpn kNoPage = UINT64_MAX;
+    /** Whether any link word differs from its default. */
+    bool
+    linked() const
+    {
+        return next != kNoPage || prev != kNoPage || inStack;
+    }
+};
 
 /**
  * Single-address-space page table.  Translations are allocated on first
@@ -69,19 +76,44 @@ class PageTable
 
     void clear();
 
-    /**
-     * Serialize every PTE in ascending-VPN order, so the byte string
-     * is canonical even though the backing container is unordered:
-     * this table's translation plus the stack links @p links holds for
-     * that page (unlinked when @p links lacks it).  A simulator keeps
-     * RP's links in a table of its own, which only ever holds pages
-     * this one translates.
-     */
-    void snapshotState(SnapshotWriter &out, const PageTable &links) const;
+    /** Entries whose link words are not all default (see linked()). */
+    std::size_t linkedEntries() const;
 
     /**
-     * Restore state written by snapshotState(): every translation into
-     * this table, and every entry with stack links into @p links.
+     * Every translated page in ascending order: the canonical order a
+     * checkpoint lists them in, though the backing container is
+     * unordered.
+     */
+    std::vector<Vpn> sortedPages() const;
+
+    /**
+     * A checkpoint's page-table section comes in two parts.  The first
+     * lists the translations @p pages (sortedPages()): a varint count,
+     * then each VPN as a varint delta from the one before it (the
+     * first from zero).  No frame numbers: restore recomputes them
+     * through lookup().
+     */
+    static void snapshotPages(SnapshotWriter &out,
+                              const std::vector<Vpn> &pages);
+
+    /**
+     * The second part is a sparse list of this table's linked entries
+     * (a simulator keeps RP's links in a table of their own, which only
+     * ever holds pages of @p pages): a varint count, then per entry in
+     * ascending order its VPN as a varint delta from the entry before
+     * (the first from zero), its next and prev words as varints (zero
+     * for kNoPage, else the zigzag code of the word minus the VPN), and
+     * inStack.
+     */
+    void snapshotLinks(SnapshotWriter &out,
+                       const std::vector<Vpn> &pages) const;
+
+    /**
+     * Restore both parts: every translation into this table, every
+     * linked entry into @p links.  Throws std::invalid_argument on any
+     * form snapshotPages()/snapshotLinks() would not write: a zero or
+     * overflowing VPN delta, links out of order or on an untranslated
+     * page, or a listed entry whose words are all default.
      */
     void restoreState(SnapshotReader &in, PageTable &links);
 
@@ -166,11 +198,19 @@ class RecencyStack
     /**
      * Serialize the stack head and link count.  The links themselves
      * live in the page table entries, so a full checkpoint must pair
-     * this with PageTable::snapshotState().
+     * this with PageTable::snapshotLinks().
      */
     void snapshotState(SnapshotWriter &out) const;
 
-    /** Restore state written by snapshotState(). */
+    /**
+     * Restore state written by snapshotState(), after the page table's
+     * links.  Throws std::invalid_argument unless the links form the
+     * one list this stack can reach: from the head, following next,
+     * every linked entry is reached exactly once, each with inStack
+     * set and prev naming the page before it, and their number is the
+     * link count.  (That no linked page is TLB-resident is the
+     * simulator's check: only it sees the TLB.)
+     */
     void restoreState(SnapshotReader &in);
 
   private:

@@ -80,9 +80,9 @@ void
 AspPrefetcher::snapshotState(SnapshotWriter &out) const
 {
     _table.snapshotState(out, [](SnapshotWriter &w, const RptRow &row) {
-        w.u64(row.prevPage);
-        w.i64(row.stride);
-        w.u8(static_cast<std::uint8_t>(row.state));
+        w.varint(row.prevPage);
+        w.svarint(row.stride);
+        w.varint(static_cast<std::uint64_t>(row.state));
     });
 }
 
@@ -90,10 +90,10 @@ void
 AspPrefetcher::restoreState(SnapshotReader &in)
 {
     _table.restoreState(in, [](SnapshotReader &r, RptRow &row) {
-        row.prevPage = r.u64();
-        row.stride = r.i64();
-        std::uint8_t state = r.u8();
-        if (state > static_cast<std::uint8_t>(RptState::NoPred))
+        row.prevPage = r.varint();
+        row.stride = r.svarint();
+        std::uint64_t state = r.varint();
+        if (state > static_cast<std::uint64_t>(RptState::NoPred))
             SnapshotReader::fail("RPT state out of range");
         row.state = static_cast<RptState>(state);
     });

@@ -13,10 +13,8 @@ void
 DistancePrefetcher::onMiss(const TlbMiss &miss,
                            PrefetchDecision &decision)
 {
-    _scratch.clear();
-    _predictor.observe(miss.vpn, _scratch);
-    for (std::uint64_t target : _scratch)
-        decision.targets.push_back(target);
+    // The caller hands @p decision over empty.
+    _predictor.observe(miss.vpn, decision.targets);
 }
 
 void

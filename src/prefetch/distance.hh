@@ -39,7 +39,6 @@ class DistancePrefetcher : public Prefetcher
 
   private:
     DistancePredictor _predictor;
-    std::vector<std::uint64_t> _scratch;
 };
 
 } // namespace tlbpf

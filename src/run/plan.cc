@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 #include <stdexcept>
 
 #include "mem/page_table.hh"
@@ -265,6 +266,10 @@ runStreamPass(const std::vector<SweepJob> &jobs, const Task &task,
         std::uint64_t end = chain[k].workload.shardWindow(lead.refs).second;
         std::vector<SimResult> deltas =
             simulateWindow(sim, *stream, end - pos);
+        // Every cell's checkpoint shares the TLB and translations.
+        std::optional<FunctionalSimulator::FrontSections> front;
+        if (hook)
+            front = sim.frontSections();
         for (std::size_t c = 0; c < specs.size(); ++c) {
             const SweepJob &job = chain[c * shards + k];
             SweepResult &result = out[c * shards + k];
@@ -275,7 +280,7 @@ runStreamPass(const std::vector<SweepJob> &jobs, const Task &task,
             if (timed)
                 result.timed = sim.timing(c);
             if (hook)
-                hook->store(checkpointKey(job, end), sim.snapshot(c));
+                hook->store(checkpointKey(job, end), sim.snapshot(c, *front));
         }
         pos = end;
     }

@@ -200,12 +200,14 @@ MechanismBackEnd::queuePrefetches(Vpn vpn, const Tlb &tlb,
                                   PrefetchChannel *channel, Tick now)
 {
     for (Vpn target : _decision.targets) {
-        if (target == vpn || tlb.contains(target) ||
-            _buffer.contains(target)) {
+        // The buffer is a few cache lines; the TLB probe costs more.
+        if (target == vpn || _buffer.contains(target) ||
+            tlb.contains(target)) {
             ++_counters.prefetchesSuppressed;
             continue;
         }
-        _buffer.insert(target, channel ? channel->issue(now, 1).done : 0);
+        _buffer.insertAbsent(target,
+                             channel ? channel->issue(now, 1).done : 0);
         ++_counters.prefetchesIssued;
     }
 }
@@ -279,9 +281,15 @@ FunctionalSimulator::timing(std::size_t i)
 namespace
 {
 
-/** Leading bytes of every checkpoint: "TPFS" + format version. */
+/**
+ * Leading bytes of every checkpoint: "TPFS" + format version.  Version
+ * 2 lists translations as VPN deltas with no frame numbers, link words
+ * sparsely and prediction-table rows as varints.  No older version is
+ * read: the checkpoint store is a cache, and a shard whose stored state
+ * fails to restore replays its prefix and stores it anew.
+ */
 constexpr std::uint32_t kSnapshotMagic = 0x53465054; // 'T','P','F','S'
-constexpr std::uint8_t kSnapshotVersion = 1;
+constexpr std::uint8_t kSnapshotVersion = 2;
 
 void
 writeCounters(SnapshotWriter &out, const SimResult &r)
@@ -323,8 +331,23 @@ FunctionalSimulator::checkpointable(std::size_t i) const
            (!prefetcher || prefetcher->checkpointable());
 }
 
+FunctionalSimulator::FrontSections
+FunctionalSimulator::frontSections() const
+{
+    FrontSections front;
+    SnapshotWriter tlb;
+    _front.tlb().snapshotState(tlb);
+    front.tlb = tlb.take();
+    front.pages = _front.pageTable().sortedPages();
+    SnapshotWriter translations;
+    PageTable::snapshotPages(translations, front.pages);
+    front.translations = translations.take();
+    front.refs = _front.counters().refs;
+    return front;
+}
+
 SimState
-FunctionalSimulator::snapshot(std::size_t i) const
+FunctionalSimulator::snapshot(std::size_t i, const FrontSections &front) const
 {
     if (!checkpointable(i))
         throw std::invalid_argument(
@@ -332,15 +355,20 @@ FunctionalSimulator::snapshot(std::size_t i) const
                 ? "timed cells have no checkpoint"
                 : "mechanism '" + _labels[i] +
                       "' does not support checkpointing; use replay warm-up");
+    TLBPF_DCHECK_MSG(front.refs == _front.counters().refs &&
+                         front.pages.size() == _front.pageTable().size(),
+                     "front-end sections taken at ", front.refs,
+                     " refs, the simulator is at ", _front.counters().refs);
     const SimConfig &config = _front.config();
     const MechanismBackEnd &back = _backs[i];
     const Prefetcher *prefetcher = back.prefetcher();
     SnapshotWriter out;
-    // Rough upper bound on the serialized size: page table entries
-    // dominate (33 bytes each), then TLB slots and buffer nodes.
-    out.reserve(512 + 40 * _front.pageTable().size() +
-                17 * static_cast<std::size_t>(config.tlb.entries) +
-                16 * static_cast<std::size_t>(config.pbEntries));
+    // Rough upper bound on the serialized size: the shared sections,
+    // buffer nodes, RP's link entries (a few bytes each) and a
+    // prediction table.
+    out.reserve(1024 + front.tlb.size() + front.translations.size() +
+                16 * static_cast<std::size_t>(config.pbEntries) +
+                8 * _tables[i].size());
     out.u32(kSnapshotMagic);
     out.u8(kSnapshotVersion);
 
@@ -358,9 +386,10 @@ FunctionalSimulator::snapshot(std::size_t i) const
     counters.footprintPages = _results[i].footprintPages;
     counters.pbEvictedUnused = _results[i].pbEvictedUnused;
     writeCounters(out, counters);
-    _front.tlb().snapshotState(out);
+    out.raw(front.tlb);
     back.buffer().snapshotState(out);
-    _front.pageTable().snapshotState(out, _tables[i]);
+    out.raw(front.translations);
+    _tables[i].snapshotLinks(out, front.pages);
     out.boolean(prefetcher != nullptr);
     if (prefetcher)
         prefetcher->snapshotState(out);
@@ -423,6 +452,19 @@ FunctionalSimulator::restore(const SimState &state)
         prefetcher->restoreState(in);
     if (!in.atEnd())
         SnapshotReader::fail("trailing bytes after checkpoint");
+    // A resident page was missed, so the front end translates it.  RP
+    // links only pages the TLB has evicted and pushes a page when the
+    // TLB evicts it: a resident page on its stack would be pushed twice.
+    const PageTable &links = _tables.front();
+    _front.tlb().forEachResident([&](Vpn vpn) {
+        if (!_front.pageTable().find(vpn))
+            SnapshotReader::fail("TLB-resident page " + std::to_string(vpn) +
+                                 " has no translation");
+        if (const PageTableEntry *link = links.find(vpn);
+            link && link->linked())
+            SnapshotReader::fail("TLB-resident page " + std::to_string(vpn) +
+                                 " is linked in the recency stack");
+    });
     // The whole checkpoint design rests on restore() being the exact
     // inverse of snapshot(): shard chains and the persistent store
     // both assume a restored simulator re-serializes to the same

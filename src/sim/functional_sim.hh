@@ -435,6 +435,26 @@ class FunctionalSimulator
     bool checkpointable(std::size_t i = 0) const;
 
     /**
+     * The checkpoint sections every back end shares, the TLB and the
+     * translations, encoded once at one stream position: a shard chain
+     * snapshots each of its back ends at a window boundary from one of
+     * these instead of sorting and encoding the front end per back end.
+     */
+    struct FrontSections
+    {
+        std::vector<std::uint8_t> tlb;
+        /** PageTable::snapshotPages() of pages. */
+        std::vector<std::uint8_t> translations;
+        /** The translated pages, ascending (PageTable::sortedPages()). */
+        std::vector<Vpn> pages;
+        /** Position they were taken at, to catch a stale reuse. */
+        std::uint64_t refs = 0;
+    };
+
+    /** Encode the front end's sections at the current position. */
+    FrontSections frontSections() const;
+
+    /**
      * Serialize the exact state of a one-mechanism simulator running
      * mechanism @p i: the front end's counters, TLB and translations
      * plus back end @p i's counters, buffer, link words and prediction
@@ -445,7 +465,16 @@ class FunctionalSimulator
      * Footprint and pbEvictedUnused are recorded as of the last
      * result(i).  Throws std::invalid_argument if !checkpointable(i).
      */
-    SimState snapshot(std::size_t i = 0) const;
+    SimState snapshot(std::size_t i = 0) const
+    {
+        return snapshot(i, frontSections());
+    }
+
+    /**
+     * snapshot(i) with the front end's sections taken from @p front,
+     * which must come from frontSections() at the current position.
+     */
+    SimState snapshot(std::size_t i, const FrontSections &front) const;
 
     /**
      * Restore state captured by snapshot() into a one-mechanism

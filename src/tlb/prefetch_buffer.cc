@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "util/check.hh"
 #include "util/logging.hh"
 
 namespace tlbpf
@@ -60,6 +61,14 @@ PrefetchBuffer::insert(Vpn vpn, Tick ready_at)
             return;
         }
     }
+    insertAbsent(vpn, ready_at);
+}
+
+void
+PrefetchBuffer::insertAbsent(Vpn vpn, Tick ready_at)
+{
+    TLBPF_DCHECK_MSG(!contains(vpn), "insertAbsent(", vpn,
+                     ") of a buffered page");
     if (_nodes.size() >= _capacity) {
         _nodes.pop_back();
         ++_evictedUnused;

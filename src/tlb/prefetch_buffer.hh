@@ -57,6 +57,9 @@ class PrefetchBuffer
      */
     void insert(Vpn vpn, Tick ready_at = 0);
 
+    /** insert() of a @p vpn the caller knows is not buffered. */
+    void insertAbsent(Vpn vpn, Tick ready_at = 0);
+
     void flush();
 
     std::uint32_t capacity() const { return _capacity; }

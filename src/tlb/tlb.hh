@@ -106,6 +106,16 @@ class Tlb
     const TlbConfig &config() const { return _config; }
     std::uint32_t residentCount() const { return _resident; }
 
+    /** Call @p visit(vpn) for every resident page, in slot order. */
+    template <typename Visit>
+    void
+    forEachResident(Visit &&visit) const
+    {
+        for (const Entry &e : _entries)
+            if (e.valid)
+                visit(e.vpn);
+    }
+
     /** Serialize entries (set order) and the recency clock. */
     void snapshotState(SnapshotWriter &out) const;
 

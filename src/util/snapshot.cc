@@ -43,6 +43,35 @@ SnapshotReader::u64()
     return value;
 }
 
+std::uint64_t
+SnapshotReader::varint()
+{
+    std::uint64_t value = 0;
+    for (unsigned shift = 0;; shift += 7) {
+        std::uint8_t byte = u8();
+        // The tenth byte carries bit 63 only.
+        if (shift == 63 && byte > 1)
+            fail("varint exceeds 64 bits");
+        value |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+        if (byte < 0x80) {
+            // A zero last byte after the first adds nothing: a longer
+            // spelling of a shorter varint.
+            if (byte == 0 && shift > 0)
+                fail("overlong varint");
+            return value;
+        }
+    }
+}
+
+bool
+SnapshotReader::boolean()
+{
+    std::uint8_t byte = u8();
+    if (byte > 1)
+        fail("boolean byte " + std::to_string(byte) + " is neither 0 nor 1");
+    return byte == 1;
+}
+
 std::string
 SnapshotReader::str()
 {

@@ -18,14 +18,22 @@
  * throws std::invalid_argument — the same clean-failure policy the
  * sweep engine uses for malformed jobs, so a stale or foreign
  * checkpoint surfaces as a batch failure, never a worker-thread abort.
+ *
+ * The reader accepts only what the writer produces: a boolean is the
+ * byte 0 or 1, and a varint (LEB128, seven bits per byte, low group
+ * first) is in its shortest form and fits 64 bits.  So every byte
+ * string a restore accepts re-serializes to itself.
  */
 
 #ifndef TLBPF_UTIL_SNAPSHOT_HH
 #define TLBPF_UTIL_SNAPSHOT_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/bits.hh"
 
 namespace tlbpf
 {
@@ -61,7 +69,28 @@ class SnapshotWriter
 
     void i64(std::int64_t value) { u64(static_cast<std::uint64_t>(value)); }
 
+    /** LEB128: one to ten bytes, small values short. */
+    void
+    varint(std::uint64_t value)
+    {
+        while (value >= 0x80) {
+            _bytes.push_back(static_cast<std::uint8_t>(value | 0x80));
+            value >>= 7;
+        }
+        _bytes.push_back(static_cast<std::uint8_t>(value));
+    }
+
+    /** A signed value as the varint of its zigzag code. */
+    void svarint(std::int64_t value) { varint(zigZagEncode(value)); }
+
     void boolean(bool value) { u8(value ? 1 : 0); }
+
+    /** Bytes another writer already encoded, copied verbatim. */
+    void
+    raw(std::span<const std::uint8_t> bytes)
+    {
+        _bytes.insert(_bytes.end(), bytes.begin(), bytes.end());
+    }
 
     void
     str(const std::string &value)
@@ -94,7 +123,11 @@ class SnapshotReader
     std::uint32_t u32();
     std::uint64_t u64();
     std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-    bool boolean() { return u8() != 0; }
+    /** Throws unless the varint is shortest-form and fits 64 bits. */
+    std::uint64_t varint();
+    std::int64_t svarint() { return zigZagDecode(varint()); }
+    /** Throws on any byte but 0 and 1. */
+    bool boolean();
     std::string str();
 
     bool atEnd() const { return _cursor == _bytes.size(); }

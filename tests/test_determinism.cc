@@ -11,12 +11,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <vector>
 
+#include "../fuzz/snapshot_pairs.hh"
+#include "prefetch/recency.hh"
 #include "run/result_sink.hh"
 #include "run/sweep_engine.hh"
 #include "service/store_util.hh"
@@ -285,6 +290,173 @@ TEST(Checkpoint, MismatchedRestoreThrows)
                  std::invalid_argument);
 }
 
+/** Offset of the flag byte: magic, version, TLB and buffer geometry. */
+constexpr std::size_t kTrainOnAllRefsAt = 4 + 1 + 4 + 4 + 4 + 8;
+
+/**
+ * Restore reads only what snapshot() writes, so every accepted
+ * checkpoint re-serializes to itself: a train_on_all_refs byte of 2 is
+ * rejected, not read as true (and written back as 1).
+ */
+TEST(Checkpoint, RestoreRejectsAFlagByteOtherThanZeroAndOne)
+{
+    SimConfig config;
+    config.trainOnAllRefs = true;
+    MechanismSpec dp = MechanismSpec::parse("DP,256,D");
+    auto refs = collect(*buildApp("mcf", 5000), 5000);
+    FunctionalSimulator sim(config, dp);
+    for (const MemRef &ref : refs)
+        sim.process(ref);
+    SimState snap = sim.snapshot();
+    ASSERT_EQ(snap.bytes[kTrainOnAllRefsAt], 1);
+    FunctionalSimulator restored(config, dp);
+    EXPECT_NO_THROW(restored.restore(snap));
+    snap.bytes[kTrainOnAllRefsAt] = 2;
+    EXPECT_THROW(restored.restore(snap), std::invalid_argument);
+}
+
+/**
+ * RP links only pages the TLB has evicted and pushes a page again when
+ * the TLB next evicts it, so a page both TLB-resident and on the stack
+ * is unreachable: at its eviction RecencyStack::push would panic.
+ * Change one byte of a real RP checkpoint, the low byte of a resident
+ * page's VPN in the TLB section, so the TLB holds a page that is on the
+ * stack instead.  Restore must reject it.
+ */
+TEST(Checkpoint, RestoreRejectsATlbResidentPageOnTheRecencyStack)
+{
+    SimConfig config;
+    MechanismSpec rp = MechanismSpec::parse("rp");
+    auto refs = collect(*buildApp("mcf", 10000), 10000);
+    FunctionalSimulator sim(config, rp);
+    for (const MemRef &ref : refs)
+        sim.process(ref);
+    (void)sim.result();
+    SimState snap = sim.snapshot();
+    ASSERT_EQ(sim.tlb().residentCount(), config.tlb.entries);
+    const auto *recency =
+        dynamic_cast<const RecencyPrefetcher *>(sim.prefetcher());
+    ASSERT_NE(recency, nullptr);
+
+    // The TLB section follows the flag byte, the context-switch
+    // interval, the label and ten counters: its clock, its slot count,
+    // then per full slot a valid byte, the VPN and the use clock.
+    const std::size_t slots =
+        kTrainOnAllRefsAt + 1 + 8 + 8 + std::string("RP").size() + 10 * 8 +
+        8 + 8;
+    std::optional<std::size_t> at;
+    std::uint8_t low = 0;
+    for (std::size_t slot = 0; slot < config.tlb.entries && !at; ++slot) {
+        std::size_t vpn_at = slots + 17 * slot + 1;
+        ASSERT_EQ(snap.bytes[vpn_at - 1], 1) << "slot " << slot;
+        Vpn vpn = 0;
+        for (int b = 7; b >= 0; --b)
+            vpn = vpn << 8 | snap.bytes[vpn_at + b];
+        ASSERT_TRUE(sim.tlb().contains(vpn)) << "slot " << slot;
+        for (unsigned flip = 1; flip < 256 && !at; ++flip) {
+            Vpn other = vpn ^ flip;
+            if (recency->stack().contains(other) &&
+                !sim.tlb().contains(other)) {
+                at = vpn_at;
+                low = static_cast<std::uint8_t>(other);
+            }
+        }
+    }
+    ASSERT_TRUE(at.has_value());
+
+    FunctionalSimulator restored(config, rp);
+    EXPECT_NO_THROW(restored.restore(snap));
+    snap.bytes[*at] = low;
+    try {
+        restored.restore(snap);
+        ADD_FAILURE() << "restore accepted a resident page on the stack";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("recency stack"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+/**
+ * A store written by an older build holds checkpoints of an older
+ * format, which restore() rejects ("unsupported checkpoint version").
+ * An explicit shard then replays its prefix: the result equals the
+ * store-less run's, and the store ends up holding a current checkpoint
+ * at that key which restores.
+ */
+TEST(Checkpoint, AnOlderVersionFallsBackToReplayAndIsReplaced)
+{
+    class MapHook : public CheckpointHook
+    {
+      public:
+        bool
+        load(const std::string &key, SimState &out) override
+        {
+            auto found = stored.find(key);
+            if (found == stored.end())
+                return false;
+            out.bytes = found->second;
+            return true;
+        }
+        void
+        store(const std::string &key, const SimState &state) override
+        {
+            stored[key] = state.bytes;
+        }
+        std::map<std::string, std::vector<std::uint8_t>> stored;
+    };
+
+    SweepJob job = SweepJob::functional(WorkloadSpec::parse("mcf#2/4"),
+                                        MechanismSpec::parse("DP,256,D"),
+                                        20000);
+    const std::uint64_t begin = job.workload.shardWindow(job.refs).first;
+    FunctionalSimulator warm(job.config, job.spec);
+    auto stream = job.workload.base().build(job.refs);
+    (void)simulateWindow(warm, *stream, begin);
+    SimState current = warm.snapshot();
+    std::vector<std::uint8_t> old = current.bytes;
+    old[4] = 1; // the version byte
+    const std::string key = checkpointKey(job, begin);
+    MapHook hook;
+    hook.stored[key] = old;
+    FunctionalSimulator probe(job.config, job.spec);
+    EXPECT_THROW(probe.restore(SimState{old}), std::invalid_argument);
+
+    SweepResult served = runSweepJob(job, &hook);
+    SweepResult replayed = runSweepJob(job);
+    EXPECT_EQ(counters(served.functional), counters(replayed.functional));
+    ASSERT_EQ(hook.stored.count(key), 1u);
+    EXPECT_EQ(hook.stored[key], current.bytes);
+    FunctionalSimulator fresh(job.config, job.spec);
+    EXPECT_NO_THROW(fresh.restore(SimState{hook.stored[key]}));
+}
+
+/**
+ * fuzz_snapshot's committed seeds are current checkpoints, one per
+ * (config, mechanism) pair; after a format change, regenerate them with
+ * make_snapshot_seeds (fuzz/CMakeLists.txt).
+ */
+TEST(Checkpoint, FuzzSeedsAreCurrentCheckpoints)
+{
+    using namespace tlbpf::fuzz;
+    for (std::size_t i = 0; i < kSnapshotPairs.size(); ++i) {
+        const SnapshotPair &pair = kSnapshotPairs[i];
+        std::ifstream file(std::string(TLBPF_TEST_DATA_DIR) +
+                               "/../../fuzz/corpus/snapshot/" + pair.seed,
+                           std::ios::binary);
+        ASSERT_TRUE(file) << pair.seed;
+        std::vector<std::uint8_t> seed(
+            (std::istreambuf_iterator<char>(file)),
+            std::istreambuf_iterator<char>());
+        EXPECT_TRUE(seed == seedInput(i)) << pair.seed << " is stale";
+        ASSERT_FALSE(seed.empty());
+        FunctionalSimulator sim = pairSimulator(pair);
+        EXPECT_NO_THROW(sim.restore(
+            SimState{std::vector<std::uint8_t>(seed.begin() + 1, seed.end())}))
+            << pair.seed;
+    }
+}
+
 /**
  * A chain runs its shards on one simulator and snapshots it only for
  * the hook.  Every state a 4-shard checkpoint plan stores must be
@@ -378,7 +550,7 @@ TEST(Checkpoint, ChainStoresTheUninterruptedSimulatorsBytes)
             defaults = stored;
     }
 
-    // The v1 format, pinned: size and contentAddress() of the bytes
+    // The v2 format, pinned: size and contentAddress() of the bytes
     // stored at position 10000 (end of shard 2 of 4) under the default
     // geometry.
     struct Pin
@@ -387,11 +559,11 @@ TEST(Checkpoint, ChainStoresTheUninterruptedSimulatorsBytes)
         std::size_t bytes;
         const char *digest;
     };
-    for (const Pin &pin : {Pin{"rp", 33232, "3e6bc4bbfd8d69b3"},
-                           Pin{"hybrid(RP+DP,256,D)", 34163,
-                               "55f13cc9e24d90f2"},
-                           Pin{"DP,256,D", 34128, "11afa401937f57c7"},
-                           Pin{"MP,256,F", 43758, "d9a70f7040c0c544"}}) {
+    for (const Pin &pin : {Pin{"rp", 6546, "5d380c31284bd995"},
+                           Pin{"hybrid(RP+DP,256,D)", 6944,
+                               "b6ace90fe33a625e"},
+                           Pin{"DP,256,D", 3674, "84a3c7bee698ea05"},
+                           Pin{"MP,256,F", 6610, "b6dcf4c07154c84c"}}) {
         SweepJob job = SweepJob::functional(
             WorkloadSpec::app("mcf"), MechanismSpec::parse(pin.mech),
             kChainRefs);

@@ -224,12 +224,16 @@ class NaiveTable
         out.u64(_misses);
         out.u64(_evictions);
         out.u64(_rows.size());
-        for (const Row &row : _rows) {
-            out.boolean(row.valid);
-            if (!row.valid)
-                continue;
-            out.u64(row.key);
-            out.u64(row.lastUse);
+        std::vector<std::size_t> valid;
+        for (std::size_t slot = 0; slot < _rows.size(); ++slot)
+            if (_rows[slot].valid)
+                valid.push_back(slot);
+        out.varint(valid.size());
+        for (std::size_t i = 0; i < valid.size(); ++i) {
+            const Row &row = _rows[valid[i]];
+            out.varint(i == 0 ? valid[i] : valid[i] - valid[i - 1]);
+            out.varint(row.key);
+            out.varint(_clock - row.lastUse);
             out.i64(row.payload.value);
         }
         return out.take();
@@ -422,14 +426,17 @@ craftedTable(const TableConfig &config, std::uint64_t clock,
     out.u64(0); // misses
     out.u64(0); // evictions
     out.u64(config.rows);
+    out.varint(rows.size());
+    std::uint64_t prev = 0;
     for (std::uint64_t slot = 0; slot < config.rows; ++slot) {
         auto row = std::find_if(rows.begin(), rows.end(),
                                 [&](const auto &r) { return r[0] == slot; });
-        out.boolean(row != rows.end());
         if (row == rows.end())
             continue;
-        out.u64((*row)[1]);
-        out.u64((*row)[2]);
+        out.varint(slot - prev);
+        prev = slot;
+        out.varint((*row)[1]);
+        out.varint(clock - (*row)[2]); // wraps for a row used after it
         out.i64(0);
     }
     return out.take();
@@ -466,6 +473,38 @@ TEST(PredictionTable, RestoreRejectsUnreachableStates)
     EXPECT_THROW(
         restoreCrafted(full, craftedTable(full, 5, {{0, 7, 4}, {3, 7, 5}})),
         std::invalid_argument);
+}
+
+/**
+ * Rows come in strictly ascending slot order, each a slot delta from
+ * the one before: a zero delta after the first row repeats a slot, and
+ * a delta may not run past the table.
+ */
+TEST(PredictionTable, RestoreRejectsRowsOutOfOrder)
+{
+    TableConfig full{16, TableAssoc::Full};
+    auto crafted = [&](std::vector<std::uint64_t> deltas) {
+        SnapshotWriter out;
+        out.u64(5); // clock
+        out.u64(0); // hits
+        out.u64(0); // misses
+        out.u64(0); // evictions
+        out.u64(full.rows);
+        out.varint(deltas.size());
+        for (std::size_t i = 0; i < deltas.size(); ++i) {
+            out.varint(deltas[i]);
+            out.varint(7 + i); // key
+            out.varint(i);     // age
+            out.i64(0);
+        }
+        return out.take();
+    };
+    EXPECT_NO_THROW(restoreCrafted(full, crafted({0, 3, 12})));
+    EXPECT_THROW(restoreCrafted(full, crafted({0, 3, 0})),
+                 std::invalid_argument);
+    EXPECT_THROW(restoreCrafted(full, crafted({0, 3, 13})),
+                 std::invalid_argument);
+    EXPECT_THROW(restoreCrafted(full, crafted({16})), std::invalid_argument);
 }
 
 TEST(AssocLabel, RoundTrips)

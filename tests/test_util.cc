@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <set>
 #include <sstream>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "util/csv.hh"
 #include "util/logging.hh"
 #include "util/random.hh"
+#include "util/snapshot.hh"
 #include "util/table_printer.hh"
 
 namespace tlbpf
@@ -335,6 +337,67 @@ TEST(Check, ScopedThrowRestoresThePreviousHandlerOnExit)
         // The outer scope's throwing handler is back in place.
         EXPECT_THROW(TLBPF_DCHECK(false), CheckFailure);
     }
+}
+
+
+/** Every varint reads back as written, in its shortest form. */
+TEST(Snapshot, VarintsRoundTripInTheirShortestForm)
+{
+    for (std::uint64_t value : std::vector<std::uint64_t>{
+             0, 1, 127, 128, 300, 1ull << 56, 1ull << 63, UINT64_MAX}) {
+        SnapshotWriter out;
+        out.varint(value);
+        std::size_t bits = value == 0 ? 1 : 64 - std::countl_zero(value);
+        EXPECT_EQ(out.bytes().size(), (bits + 6) / 7) << value;
+        SnapshotReader in(out.bytes());
+        EXPECT_EQ(in.varint(), value);
+        EXPECT_TRUE(in.atEnd());
+    }
+    for (std::int64_t value : std::vector<std::int64_t>{
+             0, -1, 1, -64, 64, INT64_MIN, INT64_MAX}) {
+        SnapshotWriter out;
+        out.svarint(value);
+        SnapshotReader in(out.bytes());
+        EXPECT_EQ(in.svarint(), value);
+        EXPECT_TRUE(in.atEnd());
+    }
+}
+
+/** A longer spelling of a shorter varint would not re-serialize. */
+TEST(Snapshot, ReaderRejectsOverlongVarints)
+{
+    for (const std::vector<std::uint8_t> &bytes :
+         {std::vector<std::uint8_t>{0x80, 0x00},
+          std::vector<std::uint8_t>{0xff, 0x00},
+          std::vector<std::uint8_t>{0x81, 0x80, 0x00}}) {
+        SnapshotReader in(bytes);
+        EXPECT_THROW(in.varint(), std::invalid_argument);
+    }
+}
+
+TEST(Snapshot, ReaderRejectsVarintsPast64Bits)
+{
+    std::vector<std::uint8_t> max(9, 0xff);
+    max.push_back(0x01);
+    SnapshotReader fits(max);
+    EXPECT_EQ(fits.varint(), UINT64_MAX);
+    for (std::uint8_t last : {0x02, 0x81}) {
+        std::vector<std::uint8_t> bytes(9, 0xff);
+        bytes.push_back(last);
+        bytes.push_back(0x01);
+        SnapshotReader in(bytes);
+        EXPECT_THROW(in.varint(), std::invalid_argument) << int(last);
+    }
+}
+
+TEST(Snapshot, ReaderRejectsBooleansOtherThanZeroAndOne)
+{
+    std::vector<std::uint8_t> bytes = {0, 1, 2, 0xff};
+    SnapshotReader in(bytes);
+    EXPECT_FALSE(in.boolean());
+    EXPECT_TRUE(in.boolean());
+    EXPECT_THROW(in.boolean(), std::invalid_argument);
+    EXPECT_THROW(in.boolean(), std::invalid_argument);
 }
 
 } // namespace
